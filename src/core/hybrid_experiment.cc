@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "core/hybrid_fault.h"
@@ -12,6 +13,8 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "flowsim/maxmin.h"
+#include "flowsim/resources.h"
+#include "routing/walk_sampler.h"
 #include "sim/boundary.h"
 #include "sim/sharded_engine.h"
 #include "sim/simulator.h"
@@ -23,13 +26,10 @@ namespace spineless::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// A fluid flow is complete when less than an eighth of a byte remains —
-// the FlowLevelSimulator retirement threshold, reused verbatim.
-constexpr double kRemainingEps = 0.125;
 // Full-graph path sampling: below this switch count the mode-aware
 // PathSampler (ECMP / Shortest-Union tables) is affordable; above it the
-// all-pairs table build is O(V*E) per destination and a BFS walk sampler
-// with a bounded distance-array cache takes over.
+// all-pairs table build is O(V*E) per destination and routing::WalkSampler
+// (a shortest-path walk with a bounded distance-array cache) takes over.
 constexpr topo::NodeId kPathTableThreshold = 4096;
 constexpr std::uint64_t kPathStreamSalt = 0x70617468ULL;    // "path"
 constexpr std::uint64_t kBoundarySalt = 0x424e4459ULL;      // "BNDY"
@@ -38,101 +38,6 @@ constexpr std::uint64_t kRepathSalt = 0x72657061ULL;        // "repa"
 // whole-network fault state (per-flow routes/stalls, link states, outage
 // and re-pin logs) in PR 8.
 constexpr std::uint32_t kHybridSectionVersion = 2;
-
-// --- Fluid resource indexing (the FluidNetwork layout, full graph) -------
-// host uplink h | host downlink nh+h | directed link 2nh + 2l + dir.
-struct ResourceSpace {
-  std::int64_t num_hosts = 0;
-  std::int64_t num_links = 0;
-  int host_up(topo::HostId h) const { return static_cast<int>(h); }
-  int host_down(topo::HostId h) const {
-    return static_cast<int>(num_hosts + h);
-  }
-  int link(topo::LinkId l, bool a_to_b) const {
-    return static_cast<int>(2 * num_hosts + 2 * l + (a_to_b ? 0 : 1));
-  }
-  std::size_t total() const {
-    return static_cast<std::size_t>(2 * num_hosts + 2 * num_links);
-  }
-};
-
-// First link between adjacent switches (parallel links: lowest port index —
-// deterministic).
-topo::LinkId link_between(const topo::Graph& g, topo::NodeId u,
-                          topo::NodeId v) {
-  for (const topo::Port& p : g.neighbors(u)) {
-    if (p.neighbor == v) return p.link;
-  }
-  SPINELESS_CHECK_MSG(false, "path step between non-adjacent switches");
-  return topo::kInvalidLink;
-}
-
-// Shortest-path walk sampler for graphs too large for PathSampler's
-// all-pairs tables: BFS distances from the destination (cached, bounded),
-// then a uniform walk over distance-decreasing neighbors — the fluid
-// analogue of hop-by-hop ECMP on a huge graph.
-class BfsSampler {
- public:
-  explicit BfsSampler(const topo::Graph& g) : g_(g) {}
-
-  routing::Path sample(topo::NodeId src, topo::NodeId dst, Rng& rng) {
-    const std::vector<std::int32_t>& dist = dist_to(dst);
-    SPINELESS_CHECK_MSG(dist[static_cast<std::size_t>(src)] >= 0,
-                        "graph is disconnected");
-    routing::Path path{src};
-    topo::NodeId cur = src;
-    while (cur != dst) {
-      const std::int32_t d = dist[static_cast<std::size_t>(cur)];
-      scratch_.clear();
-      for (const topo::Port& p : g_.neighbors(cur)) {
-        if (dist[static_cast<std::size_t>(p.neighbor)] == d - 1)
-          scratch_.push_back(p.neighbor);
-      }
-      cur = scratch_[rng.uniform(scratch_.size())];
-      path.push_back(cur);
-    }
-    return path;
-  }
-
- private:
-  // FIFO-bounded distance cache: skewed TMs concentrate destinations on few
-  // racks, so a handful of arrays covers most flows; the bound keeps worst-
-  // case memory at kMaxCached * num_switches ints. Purely a speed cache —
-  // eviction can never change a sampled path.
-  static constexpr std::size_t kMaxCached = 64;
-
-  const std::vector<std::int32_t>& dist_to(topo::NodeId dst) {
-    for (const auto& e : cache_) {
-      if (e.first == dst) return e.second;
-    }
-    std::vector<std::int32_t> dist(
-        static_cast<std::size_t>(g_.num_switches()), -1);
-    std::vector<topo::NodeId> frontier{dst};
-    dist[static_cast<std::size_t>(dst)] = 0;
-    std::vector<topo::NodeId> next;
-    while (!frontier.empty()) {
-      next.clear();
-      for (topo::NodeId n : frontier) {
-        const std::int32_t d = dist[static_cast<std::size_t>(n)];
-        for (const topo::Port& p : g_.neighbors(n)) {
-          auto& dn = dist[static_cast<std::size_t>(p.neighbor)];
-          if (dn < 0) {
-            dn = d + 1;
-            next.push_back(p.neighbor);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
-    if (cache_.size() >= kMaxCached) cache_.erase(cache_.begin());
-    cache_.emplace_back(dst, std::move(dist));
-    return cache_.back().second;
-  }
-
-  const topo::Graph& g_;
-  std::vector<std::pair<topo::NodeId, std::vector<std::int32_t>>> cache_;
-  std::vector<topo::NodeId> scratch_;
-};
 
 enum class FlowKind : std::uint8_t { kInternal, kBoundary, kExternal };
 
@@ -159,7 +64,8 @@ int cut_index_of(const topo::RegionCut& cut, topo::LinkId l) {
 }
 
 FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
-                       const topo::RegionGraph& rg, const ResourceSpace& rs,
+                       const topo::RegionGraph& rg,
+                       const flowsim::ResourceLayout& rs,
                        const workload::FlowSpec& f,
                        const routing::Path& path) {
   const std::size_t len = path.size();
@@ -171,15 +77,10 @@ FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
     }
   }
   FlowPlan plan;
-  const auto add_edge = [&](std::size_t t) {
-    const topo::LinkId l = link_between(g, path[t], path[t + 1]);
-    plan.resources.push_back(rs.link(l, g.link(l).a == path[t]));
-  };
+  const std::span<const topo::NodeId> hops(path);
   if (i0 == len) {  // no hot switch: pure fluid
     plan.kind = FlowKind::kExternal;
-    plan.resources.push_back(rs.host_up(f.src));
-    for (std::size_t t = 0; t + 1 < len; ++t) add_edge(t);
-    plan.resources.push_back(rs.host_down(f.dst));
+    plan.resources = rs.flow(f.src, f.dst, path);
     return plan;
   }
   std::size_t j0 = i0;
@@ -193,7 +94,7 @@ FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
   if (i0 == 0) {
     plan.pkt_src = rg.host_to_region[static_cast<std::size_t>(f.src)];
   } else {
-    const topo::LinkId entry = link_between(g, path[i0 - 1], path[i0]);
+    const topo::LinkId entry = g.link_between(path[i0 - 1], path[i0]);
     plan.entry_cut = cut_index_of(cut, entry);
     plan.pkt_src = rg.gateway_host[static_cast<std::size_t>(plan.entry_cut)];
     plan.boundary_link = entry;
@@ -201,19 +102,19 @@ FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
     // before the entry cut link (the cut link itself is modeled by the
     // gateway host's NIC inside the packet region).
     plan.resources.push_back(rs.host_up(f.src));
-    for (std::size_t t = 0; t + 1 < i0; ++t) add_edge(t);
+    rs.append_hops(hops.first(i0), plan.resources);
   }
   if (j0 == len - 1) {
     plan.pkt_dst = rg.host_to_region[static_cast<std::size_t>(f.dst)];
   } else {
-    const topo::LinkId exit = link_between(g, path[j0], path[j0 + 1]);
+    const topo::LinkId exit = g.link_between(path[j0], path[j0 + 1]);
     plan.exit_cut = cut_index_of(cut, exit);
     plan.pkt_dst = rg.gateway_host[static_cast<std::size_t>(plan.exit_cut)];
     if (plan.boundary_link == topo::kInvalidLink) plan.boundary_link = exit;
     // Fluid half downstream: every edge strictly after the exit cut link
     // (re-entries into the hot set past the first run stay fluid — a
     // deliberate approximation) + dst NIC.
-    for (std::size_t t = j0 + 1; t + 1 < len; ++t) add_edge(t);
+    rs.append_hops(hops.subspan(j0 + 1), plan.resources);
     plan.resources.push_back(rs.host_down(f.dst));
   }
   if (plan.pkt_src == plan.pkt_dst) {
@@ -221,9 +122,7 @@ FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
     // to pure fluid over the whole path rather than injecting self-traffic.
     plan = FlowPlan{};
     plan.kind = FlowKind::kExternal;
-    plan.resources.push_back(rs.host_up(f.src));
-    for (std::size_t t = 0; t + 1 < len; ++t) add_edge(t);
-    plan.resources.push_back(rs.host_down(f.dst));
+    plan.resources = rs.flow(f.src, f.dst, path);
   }
   return plan;
 }
@@ -279,84 +178,6 @@ struct FluidEvent {
   bool boundary = false; // cut link
 };
 
-// Shortest-path sampler over the *surviving cold* subgraph: BFS distances
-// from the destination excluding hot switches and routed-out links, then a
-// uniform walk over distance-decreasing neighbors, exactly like BfsSampler.
-// The distance cache is invalidated whenever the surviving-link set
-// changes; eviction/invalidations can never change a sampled path.
-class FaultBfs {
- public:
-  FaultBfs(const topo::Graph& g, const topo::RegionCut* cut)
-      : g_(g), cut_(cut) {}
-
-  void invalidate() { cache_.clear(); }
-
-  // Empty path = dst unreachable from src through surviving cold switches.
-  routing::Path sample(topo::NodeId src, topo::NodeId dst, Rng& rng,
-                       const std::vector<char>& link_dead) {
-    link_dead_ = &link_dead;
-    const std::vector<std::int32_t>& dist = dist_to(dst);
-    if (dist[static_cast<std::size_t>(src)] < 0) return {};
-    routing::Path path{src};
-    topo::NodeId cur = src;
-    while (cur != dst) {
-      const std::int32_t d = dist[static_cast<std::size_t>(cur)];
-      scratch_.clear();
-      for (const topo::Port& p : g_.neighbors(cur)) {
-        if (excluded(p)) continue;
-        if (dist[static_cast<std::size_t>(p.neighbor)] == d - 1)
-          scratch_.push_back(p.neighbor);
-      }
-      cur = scratch_[rng.uniform(scratch_.size())];
-      path.push_back(cur);
-    }
-    return path;
-  }
-
- private:
-  static constexpr std::size_t kMaxCached = 16;
-
-  bool excluded(const topo::Port& p) const {
-    if (cut_ != nullptr && cut_->contains(p.neighbor)) return true;
-    return (*link_dead_)[static_cast<std::size_t>(p.link)] != 0;
-  }
-
-  const std::vector<std::int32_t>& dist_to(topo::NodeId dst) {
-    for (const auto& e : cache_) {
-      if (e.first == dst) return e.second;
-    }
-    std::vector<std::int32_t> dist(
-        static_cast<std::size_t>(g_.num_switches()), -1);
-    std::vector<topo::NodeId> frontier{dst};
-    dist[static_cast<std::size_t>(dst)] = 0;
-    std::vector<topo::NodeId> next;
-    while (!frontier.empty()) {
-      next.clear();
-      for (topo::NodeId n : frontier) {
-        const std::int32_t d = dist[static_cast<std::size_t>(n)];
-        for (const topo::Port& p : g_.neighbors(n)) {
-          if (excluded(p)) continue;
-          auto& dn = dist[static_cast<std::size_t>(p.neighbor)];
-          if (dn < 0) {
-            dn = d + 1;
-            next.push_back(p.neighbor);
-          }
-        }
-      }
-      frontier.swap(next);
-    }
-    if (cache_.size() >= kMaxCached) cache_.erase(cache_.begin());
-    cache_.emplace_back(dst, std::move(dist));
-    return cache_.back().second;
-  }
-
-  const topo::Graph& g_;
-  const topo::RegionCut* cut_;
-  const std::vector<char>* link_dead_ = nullptr;
-  std::vector<std::pair<topo::NodeId, std::vector<std::int32_t>>> cache_;
-  std::vector<topo::NodeId> scratch_;
-};
-
 class HybridLoop : public sim::Checkpointable {
  public:
   HybridLoop(const HybridConfig& cfg, std::vector<double> capacities)
@@ -381,7 +202,8 @@ class HybridLoop : public sim::Checkpointable {
   // engine runs (and before any restore — the HYBR v2 payload assumes the
   // fault block exists iff this was called).
   void attach_faults(const topo::Graph& g, const topo::RegionCut& cut,
-                     const topo::RegionGraph& rg, const ResourceSpace& rs,
+                     const topo::RegionGraph& rg,
+                     const flowsim::ResourceLayout& rs,
                      const std::vector<workload::FlowSpec>& specs,
                      std::vector<FluidEvent> events, std::uint64_t seed,
                      double base_link_rate, Time first_fault,
@@ -390,16 +212,20 @@ class HybridLoop : public sim::Checkpointable {
     full_ = &g;
     cut_ = &cut;
     rg_ = &rg;
-    rs_ = rs;
+    rs_ = &rs;
     specs_ = &specs;
     events_ = std::move(events);
     seed_ = seed;
     base_link_rate_ = base_link_rate;
     first_fault_ = first_fault;
     last_topo_ = last_topo;
-    bfs_ = std::make_unique<FaultBfs>(g, &cut);
     link_state_of_.assign(static_cast<std::size_t>(g.num_links()), -1);
     link_dead_.assign(static_cast<std::size_t>(g.num_links()), 0);
+    // Re-path walks stay off the hot region (boundary flows enter it only
+    // through their pinned gateways) and off routed-out links; one may
+    // still end at a hot ToR, as a flow that re-enters the region does.
+    walk_ = std::make_unique<routing::WalkSampler>(
+        g, routing::WalkSampler::Exclusion{&cut.in_region, &link_dead_});
     // One FluidLinkState per distinct faulted link, in first-event order —
     // a pure function of the plan, so the save/load layout is static.
     for (const FluidEvent& e : events_) {
@@ -490,7 +316,7 @@ class HybridLoop : public sim::Checkpointable {
         if (f.rate <= 0) continue;
         const Time dt = w_end - base;
         const double drain = f.rate * units::to_seconds(dt) / 8.0;
-        if (f.remaining <= drain + kRemainingEps) {
+        if (f.remaining <= drain + flowsim::kRemainingEps) {
           // Interpolated completion inside the window.
           const double frac_s = f.remaining * 8.0 / f.rate;
           f.finish = base + std::min<Time>(
@@ -707,7 +533,7 @@ class HybridLoop : public sim::Checkpointable {
         p.to_cut = static_cast<std::int32_t>(r.i64());
         p.at = r.i64();
       }
-      bfs_->invalidate();
+      walk_->invalidate();
     }
   }
 
@@ -766,8 +592,8 @@ class HybridLoop : public sim::Checkpointable {
   void apply_capacity(const FluidLinkState& s) {
     const double cap = (s.down ? 0.0 : base_link_rate_) * s.degrade_factor *
                        s.gray_factor;
-    capacities_[static_cast<std::size_t>(rs_.link(s.link, true))] = cap;
-    capacities_[static_cast<std::size_t>(rs_.link(s.link, false))] = cap;
+    capacities_[static_cast<std::size_t>(rs_->link(s.link, true))] = cap;
+    capacities_[static_cast<std::size_t>(rs_->link(s.link, false))] = cap;
   }
 
   void stall(FluidFlowState& f, Time at) {
@@ -787,6 +613,8 @@ class HybridLoop : public sim::Checkpointable {
   // Rebuilds a flow's fluid resource list from its CURRENT gateway pinning
   // over the surviving cold subgraph, using the per-(flow, generation) RNG
   // stream. No surviving route -> the flow stalls (blackhole accounting).
+  // A walk toward a hot destination ToR (a flow that re-enters the region
+  // past its exit gateway) may end there; it never crosses a hot switch.
   void rebuild_resources(std::size_t i, Time at) {
     FluidFlowState& f = fluid_[i];
     Rng rng(splitmix64(splitmix64(seed_ ^ kRepathSalt) ^
@@ -795,37 +623,25 @@ class HybridLoop : public sim::Checkpointable {
     const workload::FlowSpec& spec = (*specs_)[f.spec];
     std::vector<int> res;
     bool ok = true;
-    const auto append_edges = [&](const routing::Path& p) {
-      for (std::size_t step = 0; step + 1 < p.size(); ++step) {
-        const topo::LinkId l = link_between(*full_, p[step], p[step + 1]);
-        res.push_back(rs_.link(l, full_->link(l).a == p[step]));
-      }
-    };
-    if (f.kind == FlowKind::kExternal) {
-      res.push_back(rs_.host_up(spec.src));
-      const routing::Path p =
-          bfs_->sample(full_->tor_of_host(spec.src),
-                       full_->tor_of_host(spec.dst), rng, link_dead_);
+    const auto walk = [&](topo::NodeId from, topo::NodeId to) {
+      const routing::Path p = walk_->sample(from, to, rng);
       if (p.empty()) ok = false;
-      append_edges(p);
-      res.push_back(rs_.host_down(spec.dst));
+      rs_->append_hops(p, res);
+    };
+    const topo::NodeId src_tor = full_->tor_of_host(spec.src);
+    const topo::NodeId dst_tor = full_->tor_of_host(spec.dst);
+    if (f.kind == FlowKind::kExternal) {
+      res.push_back(rs_->host_up(spec.src));
+      walk(src_tor, dst_tor);
+      res.push_back(rs_->host_down(spec.dst));
     } else {
       if (f.entry_cut >= 0) {
-        res.push_back(rs_.host_up(spec.src));
-        const routing::Path p = bfs_->sample(
-            full_->tor_of_host(spec.src),
-            cut_->cut[static_cast<std::size_t>(f.entry_cut)].outside, rng,
-            link_dead_);
-        if (p.empty()) ok = false;
-        append_edges(p);
+        res.push_back(rs_->host_up(spec.src));
+        walk(src_tor, cut_->cut[static_cast<std::size_t>(f.entry_cut)].outside);
       }
       if (f.exit_cut >= 0) {
-        const routing::Path p = bfs_->sample(
-            cut_->cut[static_cast<std::size_t>(f.exit_cut)].outside,
-            full_->tor_of_host(spec.dst), rng, link_dead_);
-        if (p.empty()) ok = false;
-        append_edges(p);
-        res.push_back(rs_.host_down(spec.dst));
+        walk(cut_->cut[static_cast<std::size_t>(f.exit_cut)].outside, dst_tor);
+        res.push_back(rs_->host_down(spec.dst));
       }
     }
     if (!ok) {
@@ -903,8 +719,8 @@ class HybridLoop : public sim::Checkpointable {
       }
       return;
     }
-    const int r0 = rs_.link(e.link, true);
-    const int r1 = rs_.link(e.link, false);
+    const int r0 = rs_->link(e.link, true);
+    const int r1 = rs_->link(e.link, false);
     for (std::size_t i = 0; i < fluid_.size(); ++i) {
       FluidFlowState& f = fluid_[i];
       if (f.done) continue;
@@ -966,7 +782,7 @@ class HybridLoop : public sim::Checkpointable {
           if (s.open_outage >= 0)
             outages_[static_cast<std::size_t>(s.open_outage)].t_routed_out =
                 e.at;
-          bfs_->invalidate();
+          walk_->invalidate();
           route_out(e);
           changed = true;
           break;
@@ -992,7 +808,7 @@ class HybridLoop : public sim::Checkpointable {
                 e.at;
             s.open_outage = -1;
           }
-          bfs_->invalidate();
+          walk_->invalidate();
           retry_stalled(e.at);
           changed = true;
           break;
@@ -1028,14 +844,14 @@ class HybridLoop : public sim::Checkpointable {
   const topo::Graph* full_ = nullptr;
   const topo::RegionCut* cut_ = nullptr;
   const topo::RegionGraph* rg_ = nullptr;
-  ResourceSpace rs_{};
+  const flowsim::ResourceLayout* rs_ = nullptr;
   const std::vector<workload::FlowSpec>* specs_ = nullptr;
   std::vector<FluidEvent> events_;
   std::uint64_t seed_ = 0;
   double base_link_rate_ = 0;
   Time first_fault_ = 0;
   Time last_topo_ = 0;
-  std::unique_ptr<FaultBfs> bfs_;
+  std::unique_ptr<routing::WalkSampler> walk_;
   std::vector<FluidLinkState> link_states_;   // one per faulted link
   std::vector<std::int32_t> link_state_of_;   // full link -> index or -1
   std::vector<char> link_dead_;               // full link -> routed out
@@ -1133,18 +949,17 @@ HybridResult run_hybrid_experiment_flows(
   Rng path_rng(splitmix64(cfg.fct.seed ^ kPathStreamSalt));
   std::vector<routing::Path> paths;
   paths.reserve(specs.size());
+  const auto sample_all = [&](auto&& sampler) {
+    for (const workload::FlowSpec& f : specs) {
+      paths.push_back(sampler.sample(g.tor_of_host(f.src),
+                                     g.tor_of_host(f.dst), path_rng));
+      SPINELESS_CHECK_MSG(!paths.back().empty(), "graph is disconnected");
+    }
+  };
   if (g.num_switches() <= kPathTableThreshold) {
-    PathSampler sampler(g, cfg.fct.net.mode, cfg.fct.net.su_k);
-    for (const workload::FlowSpec& f : specs) {
-      paths.push_back(sampler.sample(g.tor_of_host(f.src),
-                                     g.tor_of_host(f.dst), path_rng));
-    }
+    sample_all(PathSampler(g, cfg.fct.net.mode, cfg.fct.net.su_k));
   } else {
-    BfsSampler sampler(g);
-    for (const workload::FlowSpec& f : specs) {
-      paths.push_back(sampler.sample(g.tor_of_host(f.src),
-                                     g.tor_of_host(f.dst), path_rng));
-    }
+    sample_all(routing::WalkSampler(g));
   }
 
   // --- Region selection + packet subgraph ---
@@ -1167,7 +982,7 @@ HybridResult run_hybrid_experiment_flows(
       for (std::size_t i = 0; i < specs.size(); ++i) {
         const routing::Path& p = paths[i];
         for (std::size_t t = 0; t + 1 < p.size(); ++t) {
-          const topo::LinkId l = link_between(g, p[t], p[t + 1]);
+          const topo::LinkId l = g.link_between(p[t], p[t + 1]);
           const std::size_t dir = g.link(l).a == p[t] ? 0 : 1;
           demand[2 * static_cast<std::size_t>(l) + dir] +=
               static_cast<double>(specs[i].bytes);
@@ -1185,18 +1000,9 @@ HybridResult run_hybrid_experiment_flows(
   const std::int64_t link_rate = cfg.fct.net.link_rate_bps;
   const std::int64_t host_rate =
       cfg.fct.net.host_rate_bps > 0 ? cfg.fct.net.host_rate_bps : link_rate;
-  const ResourceSpace rs{g.total_servers(), g.num_links()};
-  std::vector<double> capacities(rs.total());
-  for (std::int64_t hh = 0; hh < rs.num_hosts; ++hh) {
-    capacities[static_cast<std::size_t>(hh)] =
-        static_cast<double>(host_rate);
-    capacities[static_cast<std::size_t>(rs.num_hosts + hh)] =
-        static_cast<double>(host_rate);
-  }
-  for (std::size_t i = static_cast<std::size_t>(2 * rs.num_hosts);
-       i < capacities.size(); ++i) {
-    capacities[i] = static_cast<double>(link_rate);
-  }
+  const flowsim::ResourceLayout rs(g);
+  std::vector<double> capacities = rs.capacities(
+      static_cast<double>(host_rate), static_cast<double>(link_rate));
 
   // --- Classification ---
   std::vector<FlowPlan> plans;

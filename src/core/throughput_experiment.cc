@@ -25,9 +25,12 @@ routing::Path PathSampler::sample(topo::NodeId src, topo::NodeId dst,
   if (src == dst) return path;
   topo::NodeId node = src;
   int vrf = k_;
-  int guard = 0;
+  // Every sampled path is simple, so it has fewer hops than the graph has
+  // switches.
+  topo::NodeId guard = 0;
   while (node != dst) {
-    SPINELESS_CHECK_MSG(++guard <= 64, "path sampling did not terminate");
+    SPINELESS_CHECK_MSG(++guard < graph_.num_switches(),
+                        "path sampling did not terminate");
     if (mode_ == sim::RoutingMode::kEcmp) {
       const auto& hops = ecmp_.next_hops(node, dst);
       SPINELESS_CHECK(!hops.empty());

@@ -1,6 +1,7 @@
 // Event-driven flow-level simulation: flows arrive, share the fabric at
 // max-min fair rates, and depart when their bytes drain. Rates are
-// recomputed at every arrival/departure (the standard fluid FCT model).
+// recomputed at every arrival/departure (the standard fluid FCT model) by
+// one MaxMinProblem over the active flows, on the shared resource layout.
 // Orders of magnitude faster than the packet simulator at the cost of
 // abstracting away queues, RTTs, and loss — tests/flowsim cross-validate
 // it against packet-level TCP on shared-bottleneck scenarios.
@@ -12,16 +13,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "routing/types.h"
-#include "topo/graph.h"
+#include "flowsim/resources.h"
 #include "util/stats.h"
 #include "util/units.h"
 
 namespace spineless::flowsim {
-
-using routing::Path;
-using topo::Graph;
-using topo::HostId;
 
 class FlowLevelSimulator {
  public:
@@ -50,20 +46,17 @@ class FlowLevelSimulator {
  private:
   struct ActiveFlow {
     std::size_t id;                // index into results_
-    std::vector<int> resources;    // resource ids (see fluid_network.cc)
     double remaining_bytes = 0;
     double rate = 0;
   };
 
+  // Max-min fair rates of the active flows (MaxMinProblem::solve).
   void recompute_rates(std::vector<ActiveFlow>& active) const;
-  std::vector<int> resources_for(HostId src, HostId dst,
-                                 const Path& path) const;
 
-  const Graph& graph_;
-  double link_rate_;
-  int num_hosts_;
+  ResourceLayout layout_;
+  std::vector<double> capacities_;  // per resource of layout_
   std::vector<FlowResult> results_;
-  std::vector<Path> paths_;  // per flow
+  std::vector<std::vector<int>> resources_;  // per flow
 };
 
 }  // namespace spineless::flowsim

@@ -5,50 +5,13 @@
 #include "util/error.h"
 
 namespace spineless::flowsim {
-namespace {
-
-std::vector<double> build_capacities(const Graph& g, double rate) {
-  const auto hosts = static_cast<std::size_t>(g.total_servers());
-  const auto links = static_cast<std::size_t>(g.num_links());
-  return std::vector<double>(2 * hosts + 2 * links, rate);
-}
-
-}  // namespace
 
 FluidNetwork::FluidNetwork(const Graph& g, double link_rate_bps)
-    : graph_(g),
-      num_hosts_(g.total_servers()),
-      problem_(build_capacities(g, link_rate_bps)) {}
+    : layout_(g), problem_(layout_.capacities(link_rate_bps, link_rate_bps)) {}
 
 int FluidNetwork::add_flow(HostId src, HostId dst, const Path& path) {
   SPINELESS_CHECK(src != dst);
-  SPINELESS_CHECK(!path.empty());
-  SPINELESS_CHECK_MSG(path.front() == graph_.tor_of_host(src) &&
-                          path.back() == graph_.tor_of_host(dst),
-                      "path endpoints do not match host ToRs");
-  std::vector<int> resources;
-  resources.reserve(path.size() + 1);
-  resources.push_back(host_up(src));
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    // Find the link for this hop; with parallel links pick the first (the
-    // fluid model aggregates parallel capacity onto one of them — our
-    // builders never produce parallel links in practice).
-    const auto& ports = graph_.neighbors(path[i]);
-    topo::LinkId link = topo::kInvalidLink;
-    for (const topo::Port& p : ports) {
-      if (p.neighbor == path[i + 1]) {
-        link = p.link;
-        break;
-      }
-    }
-    SPINELESS_CHECK_MSG(link != topo::kInvalidLink,
-                        "path hop " << path[i] << "->" << path[i + 1]
-                                    << " is not a link");
-    const bool a_to_b = graph_.link(link).a == path[i];
-    resources.push_back(net_link(link, a_to_b));
-  }
-  resources.push_back(host_down(dst));
-  return problem_.add_flow(std::move(resources));
+  return problem_.add_flow(layout_.flow(src, dst, path));
 }
 
 double FluidNetwork::total(const std::vector<double>& rates) {

@@ -1,22 +1,17 @@
-// Maps a data-center topology onto a MaxMinProblem: host NICs (uplink and
-// downlink) and each direction of every switch-switch link are resources of
-// the configured line rate. Flows follow explicit switch-level paths, the
-// way a hashed ECMP/Shortest-Union flow does.
+// Long-running flows over a data-center topology as a MaxMinProblem, on
+// the shared fluid resource layout (flowsim/resources.h): host NICs and each
+// direction of every switch-switch link at the configured line rate. Flows
+// follow explicit switch-level paths, the way a hashed ECMP/Shortest-Union
+// flow does.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "flowsim/maxmin.h"
-#include "routing/types.h"
-#include "topo/graph.h"
+#include "flowsim/resources.h"
 
 namespace spineless::flowsim {
-
-using routing::Path;
-using topo::Graph;
-using topo::HostId;
-using topo::NodeId;
 
 class FluidNetwork {
  public:
@@ -37,14 +32,7 @@ class FluidNetwork {
   static double mean(const std::vector<double>& rates);
 
  private:
-  int host_up(HostId h) const { return h; }
-  int host_down(HostId h) const { return num_hosts_ + h; }
-  int net_link(topo::LinkId l, bool a_to_b) const {
-    return 2 * num_hosts_ + 2 * l + (a_to_b ? 0 : 1);
-  }
-
-  const Graph& graph_;
-  int num_hosts_;
+  ResourceLayout layout_;
   MaxMinProblem problem_;
 };
 

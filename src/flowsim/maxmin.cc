@@ -1,7 +1,9 @@
 #include "flowsim/maxmin.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "util/error.h"
@@ -34,7 +36,6 @@ std::vector<double> MaxMinProblem::solve() const { return solve_capped({}); }
 std::vector<double> MaxMinProblem::solve_capped(
     const std::vector<double>& caps) const {
   const std::size_t nf = flows_.size();
-  const std::size_t nr = capacity_.size();
   const bool capped = !caps.empty();
   if (capped) {
     SPINELESS_CHECK_MSG(caps.size() == nf,
@@ -49,44 +50,65 @@ std::vector<double> MaxMinProblem::solve_capped(
                               << " — caps must be >= 0 and not NaN");
     }
   }
+  // The filling runs over the resources flows cross, renumbered densely in
+  // ascending id order: a bitmap of crossed ids plus per-word prefix counts
+  // gives each id its compact index in O(1). No solve allocates or clears
+  // a per-resource array of doubles — on a 100k-switch network that is
+  // megabytes per solve, for the few thousand resources flows touch.
+  std::vector<std::uint64_t> crossed((capacity_.size() + 63) / 64, 0);
+  for (const std::vector<int>& res : flows_) {
+    for (int r : res) {
+      const auto u = static_cast<std::size_t>(r);
+      crossed[u / 64] |= std::uint64_t{1} << (u % 64);
+    }
+  }
+  std::vector<std::size_t> before(crossed.size() + 1, 0);
+  for (std::size_t w = 0; w < crossed.size(); ++w) {
+    before[w + 1] =
+        before[w] + static_cast<std::size_t>(std::popcount(crossed[w]));
+  }
+  const auto compact = [&](int r) {
+    const auto u = static_cast<std::size_t>(r);
+    const std::uint64_t below = (std::uint64_t{1} << (u % 64)) - 1;
+    return before[u / 64] +
+           static_cast<std::size_t>(std::popcount(crossed[u / 64] & below));
+  };
+  const std::size_t nt = before.back();
+  std::vector<double> capacity(nt);  // per compact resource
+  for (std::size_t w = 0, k = 0; w < crossed.size(); ++w) {
+    for (std::uint64_t bits = crossed[w]; bits != 0; bits &= bits - 1) {
+      const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+      capacity[k++] = capacity_[64 * w + bit];
+    }
+  }
+
   std::vector<double> rate(nf, 0.0);
-  std::vector<double> remaining = capacity_;
+  std::vector<double> remaining = capacity;
   // Active consumption count per resource.
-  std::vector<double> load(nr, 0.0);
+  std::vector<double> load(nt, 0.0);
   std::vector<char> active(nf, 0);
   std::size_t num_active = 0;
   for (std::size_t f = 0; f < nf; ++f) {
     if (flows_[f].empty()) continue;  // unconstrained: leave at rate 0
     active[f] = 1;
     ++num_active;
-    for (int r : flows_[f]) load[static_cast<std::size_t>(r)] += 1.0;
+    for (int r : flows_[f]) load[compact(r)] += 1.0;
   }
-  // Compact list of resources any flow crosses: every scan below walks this
-  // list instead of the full capacity array, so sparse problems on huge
-  // networks (the hybrid windowed solve) cost O(touched) per filling round.
-  std::vector<int> touched;
-  for (std::size_t r = 0; r < nr; ++r) {
-    if (load[r] > 0.0) touched.push_back(static_cast<int>(r));
-  }
+  // Resources some active flow still crosses; shrinks as flows freeze.
+  std::vector<std::size_t> touched(nt);
+  for (std::size_t k = 0; k < nt; ++k) touched[k] = k;
 
   constexpr double kEps = 1e-12;
-  // Allocated once; only touched entries are ever set, and they are cleared
-  // again before the next round (an O(nr) refill per round would undo the
-  // compact-iteration win).
-  std::vector<char> saturated(nr, 0);
+  // Only touched entries are ever set, and they are cleared again before
+  // the next round.
+  std::vector<char> saturated(nt, 0);
   while (num_active > 0) {
-    // Drop resources whose last crossing flow froze — keeps the scans
-    // shrinking as the filling proceeds.
-    std::erase_if(touched,
-                  [&](int r) { return load[static_cast<std::size_t>(r)] <= kEps; });
+    std::erase_if(touched, [&](std::size_t k) { return load[k] <= kEps; });
 
     // Bottleneck increment: the smallest per-flow headroom across loaded
     // resources, further limited by the nearest active flow cap.
     double inc = std::numeric_limits<double>::infinity();
-    for (int r : touched) {
-      const auto ri = static_cast<std::size_t>(r);
-      inc = std::min(inc, remaining[ri] / load[ri]);
-    }
+    for (std::size_t k : touched) inc = std::min(inc, remaining[k] / load[k]);
     if (capped) {
       for (std::size_t f = 0; f < nf; ++f) {
         if (active[f]) inc = std::min(inc, caps[f] - rate[f]);
@@ -95,17 +117,12 @@ std::vector<double> MaxMinProblem::solve_capped(
     SPINELESS_CHECK(std::isfinite(inc));
     inc = std::max(inc, 0.0);
 
-    for (int r : touched) {
-      const auto ri = static_cast<std::size_t>(r);
-      remaining[ri] -= inc * load[ri];
-    }
+    for (std::size_t k : touched) remaining[k] -= inc * load[k];
 
     // Freeze every active flow crossing a saturated resource or pinned at
     // its cap. (Tolerance is relative to the original capacity scale.)
-    for (int r : touched) {
-      const auto ri = static_cast<std::size_t>(r);
-      if (remaining[ri] <= 1e-9 * std::max(1.0, capacity_[ri]))
-        saturated[ri] = 1;
+    for (std::size_t k : touched) {
+      if (remaining[k] <= 1e-9 * std::max(1.0, capacity[k])) saturated[k] = 1;
     }
     bool any_frozen = false;
     for (std::size_t f = 0; f < nf; ++f) {
@@ -115,7 +132,7 @@ std::vector<double> MaxMinProblem::solve_capped(
           capped && rate[f] >= caps[f] - 1e-9 * std::max(1.0, caps[f]);
       if (!freeze) {
         for (int r : flows_[f]) {
-          if (saturated[static_cast<std::size_t>(r)]) {
+          if (saturated[compact(r)]) {
             freeze = true;
             break;
           }
@@ -125,12 +142,12 @@ std::vector<double> MaxMinProblem::solve_capped(
         active[f] = 0;
         --num_active;
         any_frozen = true;
-        for (int r : flows_[f]) load[static_cast<std::size_t>(r)] -= 1.0;
+        for (int r : flows_[f]) load[compact(r)] -= 1.0;
       }
     }
     SPINELESS_CHECK_MSG(any_frozen || num_active == 0,
                         "water-filling made no progress");
-    for (int r : touched) saturated[static_cast<std::size_t>(r)] = 0;
+    for (std::size_t k : touched) saturated[k] = 0;
   }
   return rate;
 }

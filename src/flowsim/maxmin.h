@@ -33,9 +33,10 @@ class MaxMinProblem {
   // and releases its claim on further headroom, exactly as if it crossed a
   // private resource of capacity caps[f]. Pass an empty vector for no caps
   // (solve() delegates here). Infinite entries mean uncapped. Iteration
-  // cost is proportional to the resources flows actually cross, not
-  // num_resources() — a 100k-switch network has ~10^5..10^6 resources but a
-  // windowed hybrid solve touches only the few thousand on active paths.
+  // cost and working memory are proportional to the resources flows
+  // actually cross (plus one bit per resource), not num_resources() — a
+  // 100k-switch network has ~10^5..10^6 resources but a windowed hybrid
+  // solve touches only the few thousand on active paths.
   // Inputs are validated (throws spineless::Error): when non-empty, `caps`
   // must have exactly one entry per flow and every entry must be >= 0 and
   // not NaN — a silent size mismatch or NaN cap would otherwise stall the

@@ -1,7 +1,6 @@
 #include "routing/ecmp.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "topo/analysis.h"
 #include "util/runner.h"
@@ -10,28 +9,14 @@ namespace spineless::routing {
 
 namespace {
 
-// BFS distances honoring a dead-link set. The no-failures case dispatches
-// to the plain BFS up front so the inner loop never tests for it.
+// BFS distances honoring a dead-link set. The no-failures case takes the
+// unfiltered search up front so the inner loop never tests for it.
 std::vector<int> bfs_avoiding(const Graph& g, NodeId src,
                               const LinkSet* dead) {
   if (dead == nullptr || dead->empty()) return topo::bfs_distances(g, src);
-  std::vector<int> dist(static_cast<std::size_t>(g.num_switches()), -1);
-  std::deque<NodeId> queue{src};
-  dist[static_cast<std::size_t>(src)] = 0;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    const int next = dist[static_cast<std::size_t>(u)] + 1;
-    for (const Port& p : g.neighbors(u)) {
-      if (dead->contains(p.link)) continue;
-      auto& d = dist[static_cast<std::size_t>(p.neighbor)];
-      if (d < 0) {
-        d = next;
-        queue.push_back(p.neighbor);
-      }
-    }
-  }
-  return dist;
+  return topo::bfs_distances(g, src, [dead](NodeId, const Port& p) {
+    return dead->contains(p.link);
+  });
 }
 
 }  // namespace

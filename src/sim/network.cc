@@ -356,13 +356,6 @@ void Network::FlowletTable::grow() {
   }
 }
 
-topo::LinkId Network::link_to_neighbor(NodeId node, NodeId neighbor) const {
-  for (const routing::Port& p : graph_.neighbors(node)) {
-    if (p.neighbor == neighbor) return p.link;
-  }
-  throw Error("source route hop is not a link");
-}
-
 std::uint64_t Network::hash_key(Simulator& sim, NodeId node,
                                 const Packet& pkt) {
   std::uint64_t key =
@@ -421,8 +414,8 @@ void Network::forward_at_switch(Simulator& sim, NodeId node, int slot,
                      (*pkt.route)[pkt.route_idx] == node);
     const NodeId next = (*pkt.route)[pkt.route_idx + 1];
     ++pkt.route_idx;
-    out_link(node, link_to_neighbor(node, next)).enqueue_node(sim,
-                                                              packet_node);
+    out_link(node, graph_.link_between(node, next))
+        .enqueue_node(sim, packet_node);
     return;
   }
   // Hash key: flow and current switch — per-hop independent ECMP, like

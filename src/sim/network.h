@@ -316,7 +316,6 @@ class Network {
                          PacketNode* packet_node);
   void deliver(Simulator& sim, int slot, const Packet& pkt);
   void rebuild_tables(const routing::LinkSet* dead);
-  topo::LinkId link_to_neighbor(NodeId node, NodeId neighbor) const;
   // Per-flow hash key at a switch, with the flowlet id mixed in when
   // flowlet switching is enabled.
   std::uint64_t hash_key(Simulator& sim, NodeId node, const Packet& pkt);

@@ -1,7 +1,6 @@
 #include "topo/analysis.h"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "util/rng.h"
@@ -44,24 +43,6 @@ double leaf_spine_flat_nsr(int x, int y) {
 
 double leaf_spine_udf(int x, int y) {
   return leaf_spine_flat_nsr(x, y) / leaf_spine_nsr(x, y);  // == 2
-}
-
-std::vector<int> bfs_distances(const Graph& g, NodeId src) {
-  std::vector<int> dist(static_cast<std::size_t>(g.num_switches()), -1);
-  std::deque<NodeId> queue{src};
-  dist[static_cast<std::size_t>(src)] = 0;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (const Port& p : g.neighbors(u)) {
-      auto& d = dist[static_cast<std::size_t>(p.neighbor)];
-      if (d < 0) {
-        d = dist[static_cast<std::size_t>(u)] + 1;
-        queue.push_back(p.neighbor);
-      }
-    }
-  }
-  return dist;
 }
 
 std::vector<std::vector<int>> all_pairs_distances(const Graph& g) {

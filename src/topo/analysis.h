@@ -27,8 +27,38 @@ double leaf_spine_nsr(int x, int y);
 double leaf_spine_flat_nsr(int x, int y);
 double leaf_spine_udf(int x, int y);  // always 2
 
-// BFS hop distances from src to every switch (-1 if unreachable).
-std::vector<int> bfs_distances(const Graph& g, NodeId src);
+// BFS hop distances from src to every switch (-1 if unreachable). `skip`
+// removes hops from the search: a port p of switch u with skip(u, p) true
+// is never crossed from u. Failed links (skip by p.link) and switches that
+// may be reached but not crossed (skip by u) both take this form: ECMP
+// tables over failed links and routing::WalkSampler's exclusions call this
+// one loop.
+template <typename Skip>
+std::vector<int> bfs_distances(const Graph& g, NodeId src, Skip&& skip) {
+  std::vector<int> dist(static_cast<std::size_t>(g.num_switches()), -1);
+  dist[static_cast<std::size_t>(src)] = 0;
+  std::vector<NodeId> frontier{src};
+  std::vector<NodeId> next;
+  for (int level = 1; !frontier.empty(); ++level) {
+    next.clear();
+    for (const NodeId u : frontier) {
+      for (const Port& p : g.neighbors(u)) {
+        if (skip(u, p)) continue;
+        int& d = dist[static_cast<std::size_t>(p.neighbor)];
+        if (d < 0) {
+          d = level;
+          next.push_back(p.neighbor);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return dist;
+}
+
+inline std::vector<int> bfs_distances(const Graph& g, NodeId src) {
+  return bfs_distances(g, src, [](NodeId, const Port&) { return false; });
+}
 
 // Full all-pairs hop-distance matrix (row per source).
 std::vector<std::vector<int>> all_pairs_distances(const Graph& g);

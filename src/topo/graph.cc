@@ -33,6 +33,14 @@ bool Graph::adjacent(NodeId a, NodeId b) const {
                      [target](const Port& p) { return p.neighbor == target; });
 }
 
+LinkId Graph::link_between(NodeId a, NodeId b) const {
+  for (const Port& p : neighbors(a)) {
+    if (p.neighbor == b) return p.link;
+  }
+  throw Error("switches " + std::to_string(a) + " and " + std::to_string(b) +
+              " are not adjacent");
+}
+
 void Graph::set_servers(NodeId n, int count) {
   SPINELESS_CHECK(count >= 0);
   auto& slot = servers_.at(static_cast<std::size_t>(n));

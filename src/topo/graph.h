@@ -57,6 +57,11 @@ class Graph {
   // True if a and b share at least one direct link.
   bool adjacent(NodeId a, NodeId b) const;
 
+  // The link of a's first port that reaches b (with parallel links, the
+  // lowest port index — deterministic). Throws Error if a and b are not
+  // adjacent.
+  LinkId link_between(NodeId a, NodeId b) const;
+
   const std::vector<Port>& neighbors(NodeId n) const {
     return adjacency_.at(static_cast<std::size_t>(n));
   }

@@ -271,6 +271,22 @@ TEST(CsThroughputPacket, TracksFluidRatio) {
   EXPECT_GT(dr_packet, dr_fluid * 0.5);
 }
 
+TEST(PathSampler, SamplesPathsLongerThan64Hops) {
+  // A 2000-switch DRing is a ring of 500 supernodes: ToRs half-way round
+  // are more than 64 hops apart, so the walk's termination guard must scale
+  // with the graph, not with a fixed hop budget.
+  const auto g = topo::make_dring(500, 4, 2, 18).graph;
+  PathSampler sampler(g, sim::RoutingMode::kEcmp, 2);
+  const auto dist = topo::bfs_distances(g, 0);
+  const auto far = static_cast<topo::NodeId>(
+      std::max_element(dist.begin(), dist.end()) - dist.begin());
+  ASSERT_GT(dist[static_cast<std::size_t>(far)], 64);
+  Rng rng(3);
+  const auto p = sampler.sample(0, far, rng);
+  EXPECT_EQ(routing::path_length(p), dist[static_cast<std::size_t>(far)]);
+  EXPECT_TRUE(routing::paths_valid(g, 0, far, {p}));
+}
+
 TEST(PathSampler, SameTorReturnsTrivialPath) {
   const auto g = topo::make_dring(5, 2, 2).graph;
   PathSampler sampler(g, sim::RoutingMode::kEcmp, 2);

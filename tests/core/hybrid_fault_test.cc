@@ -11,7 +11,10 @@
 //    repair times match what packet BFD measures for the same plan when the
 //    region covers the whole graph,
 //  * version skew — a pre-PR-8 (version-forged) HYBR section is rejected
-//    with an error naming the section and both versions.
+//    with an error naming the section and both versions,
+//  * flat-tier golden identity — faulted DRing cells of 1000 and 4120
+//    switches keep their recorded result hashes, and re-path walks that end
+//    at a hot ToR complete.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include "topo/builders.h"
 #include "topo/region.h"
 #include "util/fsio.h"
+#include "util/rng.h"
 #include "workload/flows.h"
 #include "workload/tm.h"
 
@@ -397,6 +401,89 @@ TEST(HybridFault, InvalidFaultConfigRejected) {
   cfg.fault.repair_delay = 0;  // below the network link delay
   EXPECT_THROW(
       run_hybrid_experiment(c.d.graph, tm, cfg, &c.d.supernode_of), Error);
+}
+
+// The flat-tier faulted DRing cell (make_dring(m, 4, 2, 18), 1% of links
+// failed permanently from t=1ms, 512 flows into the first 8 ToRs plus 256
+// uniform ones of 250 KB, Shortest-Union(2), an automatic 8-switch region)
+// at flow/fault seed `seed`.
+HybridResult flat_dring_cell(int m, std::uint64_t seed) {
+  const topo::Graph g = topo::make_dring(m, 4, 2, 18).graph;
+  const Time window = 2 * units::kMillisecond;
+  Rng rng(splitmix64(seed ^ 0x726e675fULL));
+  std::vector<topo::HostId> hot;
+  for (topo::NodeId t = 0; t < 8; ++t)
+    for (int s = 0; s < g.servers(t); ++s) hot.push_back(g.first_host_of(t) + s);
+  const auto hosts = static_cast<std::uint64_t>(g.total_servers());
+  const auto start = [&] {
+    return static_cast<Time>(rng.uniform(static_cast<std::uint64_t>(window)));
+  };
+  std::vector<workload::FlowSpec> specs;
+  for (int i = 0; i < 512; ++i) {
+    const auto dst = hot[rng.uniform(hot.size())];
+    auto src = static_cast<topo::HostId>(rng.uniform(hosts));
+    if (src == dst) src = static_cast<topo::HostId>((src + 1) % hosts);
+    specs.push_back(workload::FlowSpec{src, dst, 250'000, start()});
+  }
+  for (int i = 0; i < 256; ++i) {
+    auto src = static_cast<topo::HostId>(rng.uniform(hosts));
+    auto dst = static_cast<topo::HostId>(rng.uniform(hosts));
+    if (dst == src) dst = static_cast<topo::HostId>((dst + 1) % hosts);
+    specs.push_back(workload::FlowSpec{src, dst, 250'000, start()});
+  }
+  Rng frng(splitmix64(seed ^ 0xFA175EEDULL));
+  std::vector<char> picked(static_cast<std::size_t>(g.num_links()), 0);
+  std::string spec;
+  const int failed = g.num_links() / 100;
+  for (int chosen = 0; chosen < failed;) {
+    const auto l = static_cast<std::size_t>(
+        frng.uniform(static_cast<std::uint64_t>(g.num_links())));
+    if (picked[l]) continue;
+    picked[l] = 1;
+    if (!spec.empty()) spec += "; ";
+    spec += "fail link=" + std::to_string(l) +
+            " at=" + std::to_string(1000 + 10 * chosen) + "us";
+    ++chosen;
+  }
+  HybridConfig cfg;
+  cfg.fct.seed = seed;
+  cfg.fct.flowgen.window = window;
+  cfg.fct.drain_factor = 20.0;
+  cfg.fct.net.mode = sim::RoutingMode::kShortestUnion;
+  cfg.region_mode = RegionMode::kAuto;
+  cfg.auto_region_switches = 8;
+  cfg.fault_spec = spec;
+  return run_hybrid_experiment_flows(g, specs, cfg);
+}
+
+// Golden identity of the flat tier: one 1000-switch cell, whose full-graph
+// paths come from the ECMP/Shortest-Union tables, and one 4120-switch cell,
+// whose paths come from the shortest-path walk sampler. Both re-path fluid
+// flows around failed links with the fault-aware walk.
+TEST(HybridFlatGolden, TableSampledFaultedDringMatchesRecordedHash) {
+  const HybridResult r = flat_dring_cell(250, 3);
+  EXPECT_TRUE(r.finished);
+  EXPECT_EQ(r.result_hash, 16377666166262429848ULL);
+}
+
+TEST(HybridFlatGolden, WalkSampledFaultedDringMatchesRecordedHash) {
+  const HybridResult r = flat_dring_cell(1030, 3);
+  EXPECT_TRUE(r.finished);
+  EXPECT_EQ(r.result_hash, 1864695562422532429ULL);
+}
+
+// A boundary flow whose sampled path re-enters the hot region after leaving
+// it has a gateway exit and a hot destination ToR. When a failed link re-paths
+// it, the walk from the exit gateway must be allowed to end at that hot ToR;
+// refusing it as a next hop once left the walk with no candidate at all.
+TEST(HybridFlatGolden, RepathWalkMayEndAtAHotSwitch) {
+  for (const std::uint64_t seed : {11, 13}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const HybridResult r = flat_dring_cell(250, seed);
+    EXPECT_TRUE(r.finished);
+    EXPECT_EQ(r.flows, 768u);
+    EXPECT_GT(r.completed, 0u);
+  }
 }
 
 }  // namespace
