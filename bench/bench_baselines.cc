@@ -12,6 +12,7 @@
 #include "bench_common.h"
 #include "routing/ksp.h"
 #include "routing/vlb.h"
+#include "sim/sharded_engine.h"
 #include "sim/striping.h"
 #include "util/table.h"
 #include "workload/flows.h"
@@ -73,12 +74,12 @@ RunResult run_hashed(const Graph& g,
   sim::NetworkConfig cfg;
   cfg.mode = mode;
   cfg.flowlet_gap = flowlet_gap;
-  sim::Simulator simulator;
   sim::Network net(g, cfg);
+  sim::ShardedEngine engine(net);
   sim::FlowDriver driver(net, sim::TcpConfig{});
   for (const auto& f : flows)
-    driver.add_flow(simulator, f.src, f.dst, f.bytes, f.start);
-  simulator.run_until(window * 20);
+    driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
+  engine.run_until(window * 20);
   const auto s = driver.fct_ms();
   return {s.median(), s.p99(), driver.num_flows(), driver.completed_flows()};
 }
@@ -89,17 +90,17 @@ RunResult run_mptcp(const Graph& g,
                     int subflows, Time window) {
   sim::NetworkConfig cfg;
   cfg.mode = sim::RoutingMode::kSourceRouted;
-  sim::Simulator simulator;
   sim::Network net(g, cfg);
+  sim::ShardedEngine engine(net);
   sim::StripedFlowDriver driver(net, sim::TcpConfig{});
   PathCache cache(g, /*vlb=*/false, static_cast<std::size_t>(subflows), 0);
   for (const auto& f : flows) {
     const NodeId a = g.tor_of_host(f.src);
     const NodeId b = g.tor_of_host(f.dst);
-    driver.add_flow(simulator, f.src, f.dst, f.bytes, f.start, cache.get(a, b),
-                    subflows);
+    driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start,
+                    cache.get(a, b), subflows);
   }
-  simulator.run_until(window * 20);
+  engine.run_until(window * 20);
   const auto s = driver.fct_ms();
   return {s.median(), s.p99(), driver.num_flows(), driver.completed_flows()};
 }
@@ -110,8 +111,8 @@ RunResult run_vlb(const Graph& g,
                   Time window, std::uint64_t seed) {
   sim::NetworkConfig cfg;
   cfg.mode = sim::RoutingMode::kSourceRouted;
-  sim::Simulator simulator;
   sim::Network net(g, cfg);
+  sim::ShardedEngine engine(net);
   sim::FlowDriver driver(net, sim::TcpConfig{});
   PathCache cache(g, /*vlb=*/true, /*k=*/16, seed);
   Rng rng(seed);
@@ -119,10 +120,11 @@ RunResult run_vlb(const Graph& g,
     const NodeId a = g.tor_of_host(f.src);
     const NodeId b = g.tor_of_host(f.dst);
     const auto& paths = cache.get(a, b);
-    const auto id = driver.add_flow(simulator, f.src, f.dst, f.bytes, f.start);
+    const auto id =
+        driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
     net.set_flow_routes(id, paths[rng.uniform(paths.size())]);
   }
-  simulator.run_until(window * 20);
+  engine.run_until(window * 20);
   const auto s = driver.fct_ms();
   return {s.median(), s.p99(), driver.num_flows(), driver.completed_flows()};
 }

@@ -97,7 +97,7 @@ inline int jobs_from(const Flags& flags) {
 }
 
 // --intra_jobs=N: shards per simulated cell (sharded conservative engine;
-// results are byte-identical for every N). Default 1 = serial engine.
+// results are byte-identical for every N). Default 1 = one shard, no threads.
 inline int intra_jobs_from(const Flags& flags) {
   const auto intra = flags.get_int("intra_jobs", 1);
   return intra < 1 ? 1 : static_cast<int>(intra);

@@ -169,18 +169,18 @@ int run(int argc, char** argv) {
 
         sim::NetworkConfig net_cfg;
         net_cfg.mode = sim::RoutingMode::kShortestUnion;
-        sim::Simulator simulator;
         sim::Network net(g, net_cfg);
+        sim::ShardedEngine engine(net);
         sim::FlowDriver driver(net, sim::TcpConfig{});
         for (const auto& f : flows)
-          driver.add_flow(simulator, f.src, f.dst, f.bytes, f.start);
+          driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
         for (std::size_t i : rng.sample_without_replacement(
                  static_cast<std::size_t>(g.num_links()), n_fail)) {
-          net.schedule_link_failure(simulator,
+          net.schedule_link_failure(engine.control(),
                                     static_cast<topo::LinkId>(i),
                                     units::kMillisecond / 2, delay);
         }
-        simulator.run_until(fg.window * 50);
+        engine.run_until(fg.window * 50);
         const auto fct = driver.fct_ms();
         return WindowCell{
             fct.median(),
@@ -276,50 +276,22 @@ int run(int argc, char** argv) {
         session.add(&mon);
         const sim::CheckpointSpec spec = sweep.spec_for(idx, ctx);
 
-        const auto setup = [&](sim::Simulator& sim) {
-          for (const auto& f : flows)
-            driver.add_flow(sim, f.src, f.dst, f.bytes, f.start);
-          inj.arm(sim, horizon);
-          mon.start(sim, 0, 30 * units::kMillisecond);
-        };
-        // Segmented main loop, mirroring core::run_fct_experiment: restore
-        // first (the reconstructed state above is discarded), then advance
-        // boundary to boundary, snapshotting between segments.
-        const auto drive = [&](auto& eng) {
-          if (spec.resume && !spec.path.empty()) session.restore(spec.path, eng);
-          const Time step =
-              spec.interval > 0 ? spec.interval : std::max<Time>(1, horizon / 64);
-          Time t = eng.now();
-          while (t < horizon) {
-            t = std::min<Time>(horizon, t + step);
-            eng.run_until(t);
-            if (spec.progress) spec.progress(eng.events_processed());
-            if (spec.audit) {
-              const sim::AuditReport report = session.audit(eng);
-              if (!report.ok()) throw Error(report.to_string());
-            }
-            if (t >= horizon) break;
-            if (!spec.path.empty()) session.save(spec.path, eng);
-            if (spec.cancel && spec.cancel()) return false;
-          }
-          return true;
-        };
+        sim::ShardedEngine engine(net);
+        for (const auto& f : flows)
+          driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
+        inj.arm(engine.control(), horizon);
+        mon.start(engine.control(), 0, 30 * units::kMillisecond);
+        // Restores first when resuming (the reconstructed state above is
+        // discarded), then advances boundary to boundary.
+        const Time step =
+            spec.interval > 0 ? spec.interval : std::max<Time>(1, horizon / 64);
+        sim::run_segmented(engine, session, spec, horizon, step);
 
         bench::BenchJson::Cell out;
         out.label = scenarios[idx].label;
         out.intra_jobs = net_cfg.intra_jobs;
         out.has_fault = true;
-        if (net.sharded()) {
-          sim::ShardedEngine engine(net);
-          setup(engine.control());
-          drive(engine);
-          out.events = engine.events_processed();
-        } else {
-          sim::Simulator simulator;
-          setup(simulator);
-          drive(simulator);
-          out.events = simulator.events_processed();
-        }
+        out.events = engine.events_processed();
 
         const auto rep = inj.report(horizon);
         out.blackhole_s = rep.blackhole_seconds;

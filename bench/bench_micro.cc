@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "ctrl/bgp.h"
@@ -107,9 +106,9 @@ BENCHMARK(BM_MakeRrg)->Arg(5000)->Arg(20000)->Unit(benchmark::kMillisecond);
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     const auto d = topo::make_dring(5, 2, 4);
-    sim::Simulator simulator;
     sim::NetworkConfig cfg;
     sim::Network net(d.graph, cfg);
+    sim::ShardedEngine engine(net);
     sim::FlowDriver driver(net, sim::TcpConfig{});
     Rng rng(7);
     for (int i = 0; i < 50; ++i) {
@@ -118,11 +117,11 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
       auto dst = static_cast<topo::HostId>(
           rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
       if (dst == src) dst = (dst + 1) % d.graph.total_servers();
-      driver.add_flow(simulator, src, dst, 200'000, 0);
+      driver.add_flow(engine.control(), src, dst, 200'000, 0);
     }
-    simulator.run_until(units::kSecond);
+    engine.run_until(units::kSecond);
     state.counters["events/s"] = benchmark::Counter(
-        static_cast<double>(simulator.events_processed()),
+        static_cast<double>(engine.events_processed()),
         benchmark::Counter::kIsIterationInvariantRate);
   }
 }
@@ -147,34 +146,27 @@ int run_json_smoke(const std::string& path, int intra_jobs) {
     sim::Network net(d.graph, cfg);
     sim::FlowDriver driver(net, sim::TcpConfig{});
     Rng rng(7);
-    sim::Simulator serial;
-    std::unique_ptr<sim::ShardedEngine> sharded;
-    if (net.sharded()) sharded = std::make_unique<sim::ShardedEngine>(net);
-    sim::Simulator& front = sharded ? sharded->control() : serial;
+    sim::ShardedEngine engine(net);
     for (int i = 0; i < 50; ++i) {
       const auto src = static_cast<topo::HostId>(
           rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
       auto dst = static_cast<topo::HostId>(
           rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
       if (dst == src) dst = (dst + 1) % d.graph.total_servers();
-      driver.add_flow(front, src, dst, 200'000, 0);
+      driver.add_flow(engine.control(), src, dst, 200'000, 0);
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    if (sharded) {
-      sharded->run_until(units::kSecond);
-    } else {
-      serial.run_until(units::kSecond);
-    }
+    engine.run_until(units::kSecond);
     const double run_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (run == 0) continue;  // warmup
     if (wall_s == 0 || run_s < wall_s) {
       wall_s = run_s;
-      events = sharded ? sharded->events_processed() : serial.events_processed();
+      events = engine.events_processed();
       completed = driver.completed_flows();
-      if (sharded) metrics = sharded->metrics();
+      metrics = engine.metrics();
     }
   }
 

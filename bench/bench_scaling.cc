@@ -17,7 +17,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,35 +53,26 @@ Cell run_cell(int intra_jobs, bool pin_reactors) {
     sim::Network net(d.graph, cfg);
     sim::FlowDriver driver(net, sim::TcpConfig{});
     Rng rng(7);
-    sim::Simulator serial;
-    std::unique_ptr<sim::ShardedEngine> sharded;
-    if (net.sharded()) sharded = std::make_unique<sim::ShardedEngine>(net);
-    sim::Simulator& front = sharded ? sharded->control() : serial;
+    sim::ShardedEngine engine(net);
     for (int i = 0; i < 50; ++i) {
       const auto src = static_cast<topo::HostId>(
           rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
       auto dst = static_cast<topo::HostId>(
           rng.uniform(static_cast<std::uint64_t>(d.graph.total_servers())));
       if (dst == src) dst = (dst + 1) % d.graph.total_servers();
-      driver.add_flow(front, src, dst, 200'000, 0);
+      driver.add_flow(engine.control(), src, dst, 200'000, 0);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    if (sharded) {
-      sharded->run_until(units::kSecond);
-    } else {
-      serial.run_until(units::kSecond);
-    }
+    engine.run_until(units::kSecond);
     const double run_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
     if (run == 0) continue;  // warmup
     if (c.wall_s == 0 || run_s < c.wall_s) {
       c.wall_s = run_s;
-      c.events = sharded ? sharded->events_processed() : serial.events_processed();
-      if (sharded) {
-        c.metrics = sharded->metrics();
-        c.cores_used = sharded->reactor_threads();
-      }
+      c.events = engine.events_processed();
+      c.metrics = engine.metrics();
+      c.cores_used = engine.reactor_threads();
     }
   }
   c.events_per_sec =

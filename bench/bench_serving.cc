@@ -30,6 +30,7 @@
 #include "service/engine.h"
 #include "service/warm_state.h"
 #include "util/flags.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -46,11 +47,6 @@ double wall_s() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::uint64_t fnv1a(const std::string& s, std::uint64_t h) {
-  for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
-  return h;
 }
 
 // The seed-deterministic request mix: what-if faults on random links
@@ -267,8 +263,9 @@ int run(int argc, char** argv) {
       std::ofstream out(trace_path);
       for (const auto& line : mix) out << line << "\n";
     }
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const auto& line : mix) hash = fnv1a(engine.handle_line(line), hash);
+    std::uint64_t hash = util::kFnv1aOffsetBasis;
+    for (const auto& line : mix)
+      hash = util::fnv1a(engine.handle_line(line), hash);
     const auto stats = engine.stats();
     std::printf("trace: %zu requests, answers_hash %016llx, cache_hits %llu\n",
                 mix.size(), static_cast<unsigned long long>(hash),

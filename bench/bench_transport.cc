@@ -10,6 +10,7 @@
 #include "bench_common.h"
 #include "core/fct_experiment.h"
 #include "sim/incast_driver.h"
+#include "sim/sharded_engine.h"
 #include "util/table.h"
 #include "workload/cs_model.h"
 #include "workload/flows.h"
@@ -82,7 +83,7 @@ int run(int argc, char** argv) {
   std::printf("%s\n", t.to_string().c_str());
 
   // Partition-aggregate fan-in sweep: the incast case DCTCP was built for.
-  // (fan-in, transport) cells; each builds its own simulator + network.
+  // (fan-in, transport) cells; each builds its own engine + network.
   std::printf("Partition-aggregate queries (30 KB/worker, shallow 40-pkt "
               "buffers), QCT:\n");
   const std::vector<int> fanins = {8, 16, 32, 64};
@@ -101,15 +102,16 @@ int run(int argc, char** argv) {
         net_cfg.mode = sim::RoutingMode::kShortestUnion;
         sim::TcpConfig tcp;
         tcp.dctcp = dctcp;
-        sim::Simulator simulator;
         sim::Network net(g, net_cfg);
+        sim::ShardedEngine engine(net);
         sim::IncastDriver driver(net, tcp);
         Rng rng(s.seed + 6);
         const auto queries = workload::generate_incast_queries(
             g, /*queries=*/20, workers, 30'000, 2 * units::kMillisecond,
             rng);
-        for (const auto& query : queries) driver.add_query(simulator, query);
-        simulator.run_until(60 * units::kSecond);
+        for (const auto& query : queries)
+          driver.add_query(engine.control(), query);
+        engine.run_until(60 * units::kSecond);
         const auto qct = driver.qct_ms();
         return QctCell{qct.median(), qct.p99(), driver.completed_queries(),
                        driver.num_queries()};

@@ -5,46 +5,9 @@
 #include "core/throughput_experiment.h"
 #include "flowsim/flow_level_sim.h"
 #include "sim/sharded_engine.h"
-#include "sim/simulator.h"
 #include "util/rng.h"
 
 namespace spineless::core {
-namespace {
-
-// Advances `eng` to `deadline` in segments, checkpointing / auditing /
-// polling the cancel hook at each quiescent boundary. Segmentation does not
-// change results: repeated run_until calls execute the identical event
-// sequence as a single call. Returns false if the cancel hook stopped the
-// run early (after saving a resume point).
-template <typename Engine>
-bool run_with_boundaries(Engine& eng, sim::CheckpointSession& session,
-                         const sim::CheckpointSpec& spec, Time deadline) {
-  if (spec.resume && !spec.path.empty()) session.restore(spec.path, eng);
-  Time step = spec.interval;
-  if (step <= 0) {
-    // No interval given: boundaries only serve the audit/cancel/progress
-    // hooks, so a coarse polling granularity is enough.
-    const bool polls = spec.audit || static_cast<bool>(spec.cancel) ||
-                       static_cast<bool>(spec.progress);
-    step = polls ? std::max<Time>(1, deadline / 64) : deadline;
-  }
-  Time t = eng.now();  // resume point when a snapshot was restored
-  while (t < deadline) {
-    t = std::min<Time>(deadline, t + step);
-    eng.run_until(t);
-    if (spec.progress) spec.progress(eng.events_processed());
-    if (spec.audit) {
-      const sim::AuditReport report = session.audit(eng);
-      if (!report.ok()) throw Error(report.to_string());
-    }
-    if (t >= deadline) break;  // complete: no snapshot needed
-    if (!spec.path.empty()) session.save(spec.path, eng);
-    if (spec.cancel && spec.cancel()) return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::uint64_t fct_config_hash(const topo::Graph& g, const FctConfig& cfg) {
   sim::HashChain h;
@@ -78,44 +41,32 @@ FctResult run_fct_experiment(const topo::Graph& g, const workload::RackTm& tm,
   const Time deadline = static_cast<Time>(
       static_cast<double>(cfg.flowgen.window) * cfg.drain_factor);
   const sim::CheckpointSpec& spec = cfg.checkpoint;
-
-  std::uint64_t events = 0;
-  bool finished = true;
-  if (net.sharded()) {
-    sim::ShardedEngine engine(net);
-    for (const auto& f : specs)
-      driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
-    if (spec.enabled()) {
-      sim::CheckpointSession session(net, fct_config_hash(g, cfg));
-      session.add(&driver);
-      finished = run_with_boundaries(engine, session, spec, deadline);
-    } else {
-      engine.run_until(deadline);
-    }
-    events = engine.events_processed();
-  } else {
-    sim::Simulator simulator;
-    for (const auto& f : specs)
-      driver.add_flow(simulator, f.src, f.dst, f.bytes, f.start);
-    if (spec.enabled()) {
-      sim::CheckpointSession session(net, fct_config_hash(g, cfg));
-      session.add(&driver);
-      finished = run_with_boundaries(simulator, session, spec, deadline);
-    } else {
-      simulator.run_until(deadline);
-    }
-    events = simulator.events_processed();
+  Time step = spec.interval;
+  if (step <= 0) {
+    // No interval given: boundaries only serve the audit/cancel/progress
+    // hooks, so a coarse polling granularity is enough.
+    const bool polls = spec.audit || static_cast<bool>(spec.cancel) ||
+                       static_cast<bool>(spec.progress);
+    step = std::max<Time>(1, polls ? deadline / 64 : deadline);
   }
 
   FctResult r;
-  r.finished = finished;
+  {
+    // Scoped: the event heap is freed before the results are gathered.
+    sim::ShardedEngine engine(net);
+    for (const auto& f : specs)
+      driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
+    sim::CheckpointSession session(net, fct_config_hash(g, cfg));
+    session.add(&driver);
+    r.finished = sim::run_segmented(engine, session, spec, deadline, step);
+    r.events = engine.events_processed();
+  }
   r.fct_ms = driver.fct_ms();
   r.flows = driver.num_flows();
   r.completed = driver.completed_flows();
   r.queue_drops = net.stats().queue_drops;
   r.retransmits = driver.total_retransmits();
   r.max_queue_bytes = net.max_network_queue_bytes();
-  r.events = events;
   r.intra_jobs = net.config().intra_jobs;
   r.table_build_s = net.table_build_seconds();
   return r;

@@ -863,37 +863,6 @@ class HybridLoop : public sim::Checkpointable {
   double peak_post_ = 0;
 };
 
-// Windowed co-simulation drive loop, mirroring run_with_boundaries'
-// checkpoint/audit/cancel semantics at window granularity.
-template <typename Engine>
-bool run_windows(Engine& eng, sim::Simulator& control, HybridLoop& loop,
-                 sim::CheckpointSession* session,
-                 const sim::CheckpointSpec& spec, Time deadline,
-                 Time window) {
-  Time t = eng.now();  // resume point when a snapshot was restored
-  Time last_save = t;
-  while (t < deadline) {
-    const Time w_end = std::min<Time>(deadline, t + window);
-    loop.begin_window(control, t, w_end);
-    eng.run_until(w_end);
-    loop.end_window(t, w_end);
-    t = w_end;
-    if (spec.progress) spec.progress(eng.events_processed());
-    if (session != nullptr && spec.audit) {
-      const sim::AuditReport report = session->audit(eng);
-      if (!report.ok()) throw Error(report.to_string());
-    }
-    if (t >= deadline) break;
-    if (session != nullptr && !spec.path.empty() &&
-        (spec.interval <= 0 || t - last_save >= spec.interval)) {
-      session->save(spec.path, eng);
-      last_save = t;
-    }
-    if (spec.cancel && spec.cancel()) return false;
-  }
-  return true;
-}
-
 std::uint64_t mix_double(sim::HashChain& h, double v) {
   return h.mix(std::bit_cast<std::uint64_t>(v)).value();
 }
@@ -1134,85 +1103,67 @@ HybridResult run_hybrid_experiment_flows(
   std::vector<std::int32_t> internal_id(specs.size(), -1);
   std::vector<std::int32_t> fluid_id(specs.size(), -1);
 
-  const auto build = [&](sim::Simulator& control) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (plans[i].kind != FlowKind::kInternal) continue;
-      const workload::FlowSpec& f = specs[i];
-      internal_id[i] = driver.add_flow(
-          control,
-          rg.host_to_region[static_cast<std::size_t>(f.src)],
-          rg.host_to_region[static_cast<std::size_t>(f.dst)], f.bytes,
-          f.start);
-      ++result.internal_flows;
-    }
-    std::int32_t next_flow_id =
-        static_cast<std::int32_t>(driver.num_flows());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (plans[i].kind == FlowKind::kInternal) continue;
-      const workload::FlowSpec& f = specs[i];
-      FluidFlowState state;
-      state.spec = i;
-      state.kind = plans[i].kind;
-      state.resources = plans[i].resources;
-      state.bytes = f.bytes;
-      state.start = f.start;
-      state.entry_cut = plans[i].entry_cut;
-      state.exit_cut = plans[i].exit_cut;
-      if (plans[i].kind == FlowKind::kBoundary) {
-        state.boundary = loop.num_boundaries();
-        auto sink = std::make_unique<sim::BoundarySink>(f.bytes);
-        const std::uint64_t phase_key = splitmix64(
-            splitmix64(cfg.fct.seed ^ kBoundarySalt) ^
-            (static_cast<std::uint64_t>(
-                 static_cast<std::uint32_t>(plans[i].boundary_link))
-             << 32) ^
-            static_cast<std::uint64_t>(i));
-        auto src = std::make_unique<sim::BoundarySource>(
-            net, next_flow_id++, plans[i].pkt_src, plans[i].pkt_dst,
-            sink.get(), phase_key);
-        loop.add_boundary(std::move(src), std::move(sink));
-        ++result.boundary_flows;
-      } else {
-        ++result.external_flows;
-      }
-      fluid_id[i] = static_cast<std::int32_t>(i);
-      loop.add_fluid_flow(std::move(state));
-    }
-    if (faults) {
-      // After every flow, so flow oids match fault-free builds; armed
-      // before any restore — a restore overwrites the event heaps
-      // wholesale, exactly like FlowDriver's build-time schedules.
-      injector =
-          std::make_unique<fault::FaultInjector>(net, region_plan, cfg.fault);
-      injector->arm(control, deadline);
-    }
-  };
-  // add_fluid_flow indexed by compacting spec order; remap fluid_id to the
-  // loop's dense index.
-  // (done after build below)
-
-  bool finished = true;
-  std::uint64_t packet_events = 0;
-  const auto drive = [&](auto& eng, sim::Simulator& control) {
-    sim::CheckpointSession session(net, config_hash);
-    session.add(&driver);
-    session.add(&loop);
-    if (injector) session.add(injector.get());
-    if (spec.resume && !spec.path.empty()) session.restore(spec.path, eng);
-    finished = run_windows(eng, control, loop, &session, spec, deadline,
-                           window);
-    packet_events = eng.events_processed();
-  };
-
-  if (net.sharded()) {
-    sim::ShardedEngine engine(net);
-    build(engine.control());
-    drive(engine, engine.control());
-  } else {
-    sim::Simulator simulator;
-    build(simulator);
-    drive(simulator, simulator);
+  sim::ShardedEngine engine(net);
+  sim::Simulator& control = engine.control();
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (plans[i].kind != FlowKind::kInternal) continue;
+    const workload::FlowSpec& f = specs[i];
+    internal_id[i] = driver.add_flow(
+        control, rg.host_to_region[static_cast<std::size_t>(f.src)],
+        rg.host_to_region[static_cast<std::size_t>(f.dst)], f.bytes, f.start);
+    ++result.internal_flows;
   }
+  std::int32_t next_flow_id = static_cast<std::int32_t>(driver.num_flows());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (plans[i].kind == FlowKind::kInternal) continue;
+    const workload::FlowSpec& f = specs[i];
+    FluidFlowState state;
+    state.spec = i;
+    state.kind = plans[i].kind;
+    state.resources = plans[i].resources;
+    state.bytes = f.bytes;
+    state.start = f.start;
+    state.entry_cut = plans[i].entry_cut;
+    state.exit_cut = plans[i].exit_cut;
+    if (plans[i].kind == FlowKind::kBoundary) {
+      state.boundary = loop.num_boundaries();
+      auto sink = std::make_unique<sim::BoundarySink>(f.bytes);
+      const std::uint64_t phase_key = splitmix64(
+          splitmix64(cfg.fct.seed ^ kBoundarySalt) ^
+          (static_cast<std::uint64_t>(
+               static_cast<std::uint32_t>(plans[i].boundary_link))
+           << 32) ^
+          static_cast<std::uint64_t>(i));
+      auto src = std::make_unique<sim::BoundarySource>(
+          net, next_flow_id++, plans[i].pkt_src, plans[i].pkt_dst,
+          sink.get(), phase_key);
+      loop.add_boundary(std::move(src), std::move(sink));
+      ++result.boundary_flows;
+    } else {
+      ++result.external_flows;
+    }
+    fluid_id[i] = static_cast<std::int32_t>(i);
+    loop.add_fluid_flow(std::move(state));
+  }
+  if (faults) {
+    // After every flow, so flow oids match fault-free builds; armed before
+    // any restore — a restore overwrites the event heaps wholesale, exactly
+    // like FlowDriver's build-time schedules.
+    injector =
+        std::make_unique<fault::FaultInjector>(net, region_plan, cfg.fault);
+    injector->arm(control, deadline);
+  }
+
+  sim::CheckpointSession session(net, config_hash);
+  session.add(&driver);
+  session.add(&loop);
+  if (injector) session.add(injector.get());
+  const bool finished = sim::run_segmented(
+      engine, session, spec, deadline, window, [&](Time t, Time w_end) {
+        loop.begin_window(control, t, w_end);
+        engine.run_until(w_end);
+        loop.end_window(t, w_end);
+      });
 
   // Remap fluid_id from spec index to dense loop index.
   {
@@ -1246,7 +1197,7 @@ HybridResult run_hybrid_experiment_flows(
         .mix(static_cast<std::uint64_t>(finish));
   }
   result.finished = finished;
-  result.packet_events = packet_events;
+  result.packet_events = engine.events_processed();
   result.fluid_windows = loop.windows();
   result.fluid_solves = loop.solves();
   result.fluid_solves_skipped = loop.solves_skipped();

@@ -1,6 +1,7 @@
 #include "core/throughput_experiment.h"
 
 #include "flowsim/fluid_network.h"
+#include "sim/sharded_engine.h"
 #include "sim/tcp.h"
 #include "util/error.h"
 #include "workload/cs_model.h"
@@ -81,8 +82,8 @@ ThroughputResult run_cs_throughput_packet(const topo::Graph& g, int c,
   net_cfg.mode = cfg.mode;
   net_cfg.su_k = cfg.su_k;
   net_cfg.link_rate_bps = static_cast<std::int64_t>(cfg.link_rate_bps);
-  sim::Simulator simulator;
   sim::Network net(g, net_cfg);
+  sim::ShardedEngine engine(net);
   sim::FlowDriver driver(net, sim::TcpConfig{});
   // "Infinite" backlog: more than any flow can move within the window.
   const std::int64_t backlog =
@@ -90,8 +91,8 @@ ThroughputResult run_cs_throughput_packet(const topo::Graph& g, int c,
                                 units::to_seconds(duration) * 2) +
       1'000'000;
   for (const auto& [src, dst] : pairs)
-    driver.add_flow(simulator, src, dst, backlog, 0);
-  simulator.run_until(duration);
+    driver.add_flow(engine.control(), src, dst, backlog, 0);
+  engine.run_until(duration);
 
   ThroughputResult r;
   r.flows = driver.num_flows();

@@ -9,6 +9,10 @@ namespace spineless::service {
 
 namespace {
 
+// Requests nest two levels deep. The cap keeps a hostile line of brackets
+// from recursing off the stack.
+constexpr int kMaxDepth = 64;
+
 [[noreturn]] void fail_at(std::size_t pos, const std::string& what) {
   throw Error("json: " + what + " at byte " + std::to_string(pos));
 }
@@ -29,8 +33,14 @@ class Parser {
     skip_ws();
     if (pos_ >= text_.size()) fail_at(pos_, "unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth)
+          fail_at(pos_, "nesting deeper than " + std::to_string(kMaxDepth));
+        JsonValue v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::string(parse_string());
       case 't': expect_word("true"); return JsonValue::boolean(true);
       case 'f': expect_word("false"); return JsonValue::boolean(false);
@@ -229,6 +239,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open objects and arrays around pos_
 };
 
 [[noreturn]] void kind_error(const char* want) {
@@ -249,6 +260,10 @@ double JsonValue::as_number() const {
 
 std::int64_t JsonValue::as_int() const {
   const double v = as_number();
+  // The cast is only defined inside int64_t's range [-2^63, 2^63), and
+  // both bounds are exact doubles; NaN fails every comparison.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(v >= -kTwo63 && v < kTwo63)) kind_error("an integer in int64 range");
   const auto i = static_cast<std::int64_t>(v);
   if (static_cast<double>(i) != v) kind_error("an integer");
   return i;

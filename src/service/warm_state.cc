@@ -8,11 +8,13 @@
 #include "fault/fault_plan.h"
 #include "flowsim/flow_level_sim.h"
 #include "sim/network.h"
+#include "sim/sharded_engine.h"
 #include "sim/simulator.h"
 #include "sim/snapshot.h"
 #include "sim/tcp.h"
 #include "util/error.h"
 #include "util/fsio.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "workload/tm.h"
 
@@ -30,12 +32,6 @@ constexpr std::uint32_t kBaselineVersion = 1;
 constexpr const char* kWarmFile = "/service_warm.snap";
 constexpr const char* kBaselineFile = "/service_baseline.snap";
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ULL;
-  return h;
-}
-
 // The packet-level experiment every request (and the warm build)
 // reconstructs. Member declaration order IS the protocol: it fixes the
 // simulator oid sequence and the CheckpointSession part order, so a
@@ -48,6 +44,7 @@ struct PacketExperiment {
   fault::DegradationMonitor mon;
   fault::FaultInjector inj;
   sim::CheckpointSession session;
+  sim::ShardedEngine engine;  // one shard: the service's config forces it
 
   PacketExperiment(const topo::Graph& g, const ServiceConfig& cfg,
                    fault::FaultPlan p, std::uint64_t config_hash)
@@ -56,37 +53,27 @@ struct PacketExperiment {
         plan(std::move(p)),
         mon(net, kMonInterval),
         inj(net, plan, cfg.fault),
-        session(net, config_hash) {
+        session(net, config_hash),
+        engine(net) {
     session.add(&driver);
     session.add(&mon);
     session.add(&inj);
   }
 
-  void add_flows(sim::Simulator& sim,
-                 const std::vector<workload::FlowSpec>& flows) {
+  void add_flows(const std::vector<workload::FlowSpec>& flows) {
     for (const auto& f : flows)
-      driver.add_flow(sim, f.src, f.dst, f.bytes, f.start);
+      driver.add_flow(engine.control(), f.src, f.dst, f.bytes, f.start);
+  }
+
+  // Advances to `horizon` in 32 segments, polling the cooperative cancel
+  // hook between them; false when canceled.
+  bool run(Time horizon, const std::function<bool()>& cancel) {
+    sim::CheckpointSpec spec;
+    spec.cancel = cancel;
+    const Time step = std::max<Time>(1, (horizon - engine.now()) / 32);
+    return sim::run_segmented(engine, session, spec, horizon, step);
   }
 };
-
-// Advances to `deadline` in segments, polling the cooperative cancel hook
-// at quiescent boundaries. Segmentation never changes results (identical
-// event sequence as one run_until call); returns false when canceled.
-bool run_segmented(sim::Simulator& sim, Time deadline,
-                   const std::function<bool()>& cancel) {
-  if (!cancel) {
-    sim.run_until(deadline);
-    return true;
-  }
-  const Time step = std::max<Time>(1, (deadline - sim.now()) / 32);
-  Time t = sim.now();
-  while (t < deadline) {
-    t = std::min<Time>(deadline, t + step);
-    sim.run_until(t);
-    if (t < deadline && cancel()) return false;
-  }
-  return true;
-}
 
 fault::FaultPlan parse_plan(const std::string& spec, const topo::Graph& g,
                             std::uint64_t seed) {
@@ -113,9 +100,9 @@ std::unique_ptr<WarmState> WarmState::build(const ServiceConfig& cfg) {
   std::unique_ptr<WarmState> ws(new WarmState(make_graph(cfg)));
   ws->cfg_ = cfg;
 
-  // The service always runs the serial engine: request horizons are short,
-  // many requests run concurrently across the worker pool, and serial vs.
-  // sharded answers are byte-identical anyway.
+  // The service always runs one shard: request horizons are short, many
+  // requests run concurrently across the worker pool, and answers are
+  // byte-identical for every shard count anyway.
   ws->cfg_.net.intra_jobs = 1;
   if (ws->cfg_.flowgen.offered_load_bps <= 0) {
     ws->cfg_.flowgen.offered_load_bps = workload::spine_offered_load_bps(
@@ -138,7 +125,7 @@ std::unique_ptr<WarmState> WarmState::build(const ServiceConfig& cfg) {
   fct.seed = ws->cfg_.scenario.seed;
   sim::HashChain h;
   h.mix(core::fct_config_hash(ws->graph_, fct))
-      .mix(fnv1a(ws->cfg_.topology))
+      .mix(util::fnv1a(ws->cfg_.topology))
       .mix(static_cast<std::uint64_t>(ws->cfg_.warm_time))
       .mix(static_cast<std::uint64_t>(ws->cfg_.horizon))
       .mix(static_cast<std::uint64_t>(ws->cfg_.fault.hello_interval))
@@ -184,19 +171,19 @@ void WarmState::build_fresh() {
   PacketExperiment exp(graph_, cfg_,
                        fault::FaultPlan::from_actions({}, cfg_.scenario.seed),
                        warm_hash_);
-  sim::Simulator sim;
-  exp.add_flows(sim, baseline_flows_);
+  sim::Simulator& sim = exp.engine.control();
+  exp.add_flows(baseline_flows_);
   exp.inj.arm(sim, cfg_.horizon);
   exp.mon.start(sim, 0, cfg_.horizon);
 
-  sim.run_until(cfg_.warm_time);
-  warm_bytes_ = exp.session.save_bytes(sim);
+  exp.engine.run_until(cfg_.warm_time);
+  warm_bytes_ = exp.session.save_bytes(exp.engine);
 
   // Continue the SAME engine to the horizon: the baseline is exactly what
   // an empty-plan what-if computes after restoring the warm bytes, which
   // makes "empty what-if == baseline" a byte-level identity, not an
   // approximation.
-  sim.run_until(cfg_.horizon);
+  exp.engine.run_until(cfg_.horizon);
   const Summary fct = exp.driver.fct_ms();
   baseline_packet_.p50_ms = fct.median();
   baseline_packet_.p99_ms = fct.p99();
@@ -281,16 +268,15 @@ WhatIfResult WarmState::whatif_fault_packet(
       graph_, cfg_,
       parse_plan(spec, graph_, splitmix64(cfg_.scenario.seed ^ seed_salt)),
       warm_hash_);
-  sim::Simulator sim;
   // Flows must be added before restore: the TcpSource objects (and their
   // oids) are part of the reconstructed experiment the bytes load into.
-  exp.add_flows(sim, baseline_flows_);
-  exp.session.restore_bytes(warm_bytes_, sim);
+  exp.add_flows(baseline_flows_);
+  exp.session.restore_bytes(warm_bytes_, exp.engine);
   // Only the plan's actions: the BFD hello/hold machinery and the
   // monitor's sampling events are already in the restored event arrays.
-  exp.inj.arm_actions(sim);
+  exp.inj.arm_actions(exp.engine.control());
 
-  r.finished = run_segmented(sim, cfg_.horizon, cancel);
+  r.finished = exp.run(cfg_.horizon, cancel);
 
   const Summary fct = exp.driver.fct_ms();
   r.p50_ms = fct.median();
@@ -402,11 +388,11 @@ WhatIfResult WarmState::whatif_tm(const std::string& tm, double load_scale,
   PacketExperiment exp(graph_, cfg_,
                        fault::FaultPlan::from_actions({}, cfg_.scenario.seed),
                        warm_hash_);
-  sim::Simulator sim;
-  exp.add_flows(sim, flows);
+  sim::Simulator& sim = exp.engine.control();
+  exp.add_flows(flows);
   exp.inj.arm(sim, cfg_.horizon);
   exp.mon.start(sim, 0, cfg_.horizon);
-  r.finished = run_segmented(sim, cfg_.horizon, cancel);
+  r.finished = exp.run(cfg_.horizon, cancel);
 
   const Summary fct = exp.driver.fct_ms();
   r.p50_ms = fct.median();

@@ -22,6 +22,19 @@ constexpr std::uint32_t kSectionGlobals = 0x474c424c;  // "GLBL"
 // above that escaped the TTL guard.
 constexpr std::uint64_t kMaxLiveHops = 64;
 
+// The engine's event heaps in snapshot order: index 0 is the control
+// simulator, 1..num_shards the shard heaps. A one-shard engine runs
+// everything on its control simulator, so it has that one heap only.
+int num_heaps(const ShardedEngine& eng) {
+  return eng.num_shards() > 1 ? eng.num_shards() + 1 : 1;
+}
+const Simulator& heap(const ShardedEngine& eng, int i) {
+  return i == 0 ? eng.control() : eng.shard(i - 1);
+}
+Simulator& heap(ShardedEngine& eng, int i) {
+  return i == 0 ? eng.control() : eng.shard_mut(i - 1);
+}
+
 }  // namespace
 
 void SinkRegistry::add(EventSink* sink, CtxKind kind, int pool_shard) {
@@ -98,23 +111,6 @@ std::string AuditReport::to_string() const {
   return os.str();
 }
 
-// Uniform access to the one-or-many simulators behind an experiment. Index
-// 0 is the serial simulator or the sharded engine's control simulator;
-// 1..num_shards are the shard heaps.
-struct CheckpointSession::EngineView {
-  Simulator* serial = nullptr;
-  ShardedEngine* sharded = nullptr;
-
-  bool is_sharded() const noexcept { return sharded != nullptr; }
-  int num_sims() const {
-    return serial != nullptr ? 1 : sharded->num_shards() + 1;
-  }
-  Simulator& sim(int i) const {
-    if (serial != nullptr) return *serial;
-    return i == 0 ? sharded->control() : sharded->shard_mut(i - 1);
-  }
-};
-
 CheckpointSession::CheckpointSession(Network& net, std::uint64_t config_hash)
     : net_(net), config_hash_(config_hash) {}
 
@@ -170,7 +166,7 @@ std::vector<Simulator::Event> CheckpointSession::read_events(
   return events;
 }
 
-std::string CheckpointSession::save_view_bytes(const EngineView& view) {
+std::string CheckpointSession::save_bytes(const ShardedEngine& eng) {
   build_registry();
   const PacketCodec codec(net_);
   SnapshotWriter w(config_hash_);
@@ -180,8 +176,8 @@ std::string CheckpointSession::save_view_bytes(const EngineView& view) {
   // SummaryField.
   std::uint64_t packet_events = 0;
   std::uint64_t max_hops = 0;
-  for (int i = 0; i < view.num_sims(); ++i) {
-    for (const Simulator::Event& e : view.sim(i).pending_events()) {
+  for (int i = 0; i < num_heaps(eng); ++i) {
+    for (const Simulator::Event& e : heap(eng, i).pending_events()) {
       const SinkRegistry::Entry& entry =
           registry_.by_oid(e.sink->event_oid());
       if (entry.kind != CtxKind::kPacketNode) continue;
@@ -200,12 +196,12 @@ std::string CheckpointSession::save_view_bytes(const EngineView& view) {
     queued_bytes += static_cast<std::uint64_t>(a.bytes);
     max_hops = std::max(max_hops, static_cast<std::uint64_t>(a.max_hops));
   });
-  for (int i = 0; i < view.num_sims(); ++i)
-    processed += view.sim(i).events_processed();
+  for (int i = 0; i < num_heaps(eng); ++i)
+    processed += heap(eng, i).events_processed();
 
   w.begin_section(kSectionSummary);
-  w.u64(static_cast<std::uint64_t>(view.sim(0).now()));  // kSummaryNow
-  w.u64(processed);                                      // kSummaryProcessed
+  w.u64(static_cast<std::uint64_t>(eng.now()));  // kSummaryNow
+  w.u64(processed);      // kSummaryProcessed
   w.u64(packet_events);  // kSummaryPacketEvents
   w.u64(queued_nodes);   // kSummaryQueuedNodes
   w.u64(queued_bytes);   // kSummaryQueuedBytes
@@ -229,8 +225,8 @@ std::string CheckpointSession::save_view_bytes(const EngineView& view) {
     w.end_section();
   }
 
-  for (int i = 0; i < view.num_sims(); ++i) {
-    const Simulator& sim = view.sim(i);
+  for (int i = 0; i < num_heaps(eng); ++i) {
+    const Simulator& sim = heap(eng, i);
     w.begin_section(kSectionEngine);
     w.i64(sim.now());
     w.u64(sim.events_processed());
@@ -240,31 +236,29 @@ std::string CheckpointSession::save_view_bytes(const EngineView& view) {
     w.end_section();
   }
 
-  if (view.is_sharded()) {
+  if (eng.num_shards() > 1) {
     w.begin_section(kSectionGlobals);
-    write_events(w, codec, view.sharded->pending_globals());
+    write_events(w, codec, eng.pending_globals());
     w.end_section();
   }
 
   return w.seal();
 }
 
-void CheckpointSession::save_view(const std::string& path,
-                                  const EngineView& view) {
-  SPINELESS_CHECK_MSG(util::atomic_write_file(path, save_view_bytes(view)),
+void CheckpointSession::save(const std::string& path,
+                             const ShardedEngine& eng) {
+  SPINELESS_CHECK_MSG(util::atomic_write_file(path, save_bytes(eng)),
                       "checkpoint: failed to write snapshot to " << path);
 }
 
-bool CheckpointSession::restore_view(const std::string& path,
-                                     const EngineView& view) {
+bool CheckpointSession::restore(const std::string& path, ShardedEngine& eng) {
   std::string bytes;
   if (!SnapshotReader::load_file(path, &bytes)) return false;
-  restore_view_bytes(std::move(bytes), view);
+  restore_bytes(std::move(bytes), eng);
   return true;
 }
 
-void CheckpointSession::restore_view_bytes(std::string bytes,
-                                           const EngineView& view) {
+void CheckpointSession::restore_bytes(std::string bytes, ShardedEngine& eng) {
   SnapshotReader r(std::move(bytes));
   if (r.config_hash() != config_hash_) {
     throw Error(
@@ -301,7 +295,7 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
     r.end_section();
   }
 
-  for (int i = 0; i < view.num_sims(); ++i) {
+  for (int i = 0; i < num_heaps(eng); ++i) {
     r.expect_section(kSectionEngine);
     const Time now = r.i64();
     const std::uint64_t processed = r.u64();
@@ -309,13 +303,13 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
     const std::uint32_t lazy_oid = r.u32();
     std::vector<Simulator::Event> events = read_events(r, codec);
     r.end_section();
-    view.sim(i).restore_state(now, processed, root_key, lazy_oid,
-                              std::move(events));
+    heap(eng, i).restore_state(now, processed, root_key, lazy_oid,
+                               std::move(events));
   }
 
-  if (view.is_sharded()) {
+  if (eng.num_shards() > 1) {
     r.expect_section(kSectionGlobals);
-    view.sharded->restore_globals(read_events(r, codec));
+    eng.restore_globals(read_events(r, codec));
     r.end_section();
   }
   SPINELESS_CHECK_MSG(r.at_end(), "checkpoint: trailing sections in snapshot");
@@ -323,20 +317,20 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
   // Cross-check the restored state against the snapshot's own summary —
   // this is what turns a corrupted-but-checksum-valid snapshot (or a state
   // bug) into a named invariant violation instead of a wrong result.
-  AuditReport report = audit_view(view);
+  AuditReport report = check(eng);
   const auto violated = [&report](const std::string& invariant,
                                   const std::string& detail) {
     report.violations.push_back({invariant, detail});
   };
-  if (static_cast<std::uint64_t>(view.sim(0).now()) != sum_now) {
+  if (static_cast<std::uint64_t>(eng.now()) != sum_now) {
     std::ostringstream os;
-    os << "restored clock " << view.sim(0).now()
+    os << "restored clock " << eng.now()
        << " != snapshot summary now " << sum_now;
     violated("monotonic_event_time", os.str());
   }
   std::uint64_t processed = 0;
-  for (int i = 0; i < view.num_sims(); ++i)
-    processed += view.sim(i).events_processed();
+  for (int i = 0; i < num_heaps(eng); ++i)
+    processed += heap(eng, i).events_processed();
   if (processed != sum_processed) {
     std::ostringstream os;
     os << "restored event count " << processed << " != snapshot summary "
@@ -344,8 +338,8 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
     violated("monotonic_event_time", os.str());
   }
   std::uint64_t packet_events = 0;
-  for (int i = 0; i < view.num_sims(); ++i)
-    for (const Simulator::Event& e : view.sim(i).pending_events())
+  for (int i = 0; i < num_heaps(eng); ++i)
+    for (const Simulator::Event& e : heap(eng, i).pending_events())
       if (registry_.by_oid(e.sink->event_oid()).kind == CtxKind::kPacketNode)
         ++packet_events;
   std::uint64_t queued_nodes = 0;
@@ -386,7 +380,12 @@ void CheckpointSession::restore_view_bytes(std::string bytes,
   if (!report.ok()) throw Error("checkpoint restore: " + report.to_string());
 }
 
-AuditReport CheckpointSession::audit_view(const EngineView& view) {
+AuditReport CheckpointSession::audit(const ShardedEngine& eng) {
+  build_registry();
+  return check(eng);
+}
+
+AuditReport CheckpointSession::check(const ShardedEngine& eng) {
   AuditReport report;
   const auto violated = [&report](const std::string& invariant,
                                   const std::string& detail) {
@@ -397,8 +396,8 @@ AuditReport CheckpointSession::audit_view(const EngineView& view) {
   // simulator's clock (all clocks are parked at the same boundary).
   std::uint64_t packet_events = 0;
   std::uint64_t max_hops = 0;
-  for (int i = 0; i < view.num_sims(); ++i) {
-    const Simulator& sim = view.sim(i);
+  for (int i = 0; i < num_heaps(eng); ++i) {
+    const Simulator& sim = heap(eng, i);
     for (const Simulator::Event& e : sim.pending_events()) {
       if (e.t < sim.now()) {
         std::ostringstream os;
@@ -461,70 +460,35 @@ AuditReport CheckpointSession::audit_view(const EngineView& view) {
   return report;
 }
 
-void CheckpointSession::save(const std::string& path, const Simulator& sim) {
-  EngineView view;
-  // Save only reads; the view is shared with the mutating restore path.
-  view.serial = const_cast<Simulator*>(&sim);
-  save_view(path, view);
-}
-
-void CheckpointSession::save(const std::string& path,
-                             const ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = const_cast<ShardedEngine*>(&eng);
-  save_view(path, view);
-}
-
-bool CheckpointSession::restore(const std::string& path, Simulator& sim) {
-  EngineView view;
-  view.serial = &sim;
-  return restore_view(path, view);
-}
-
-bool CheckpointSession::restore(const std::string& path, ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = &eng;
-  return restore_view(path, view);
-}
-
-std::string CheckpointSession::save_bytes(const Simulator& sim) {
-  EngineView view;
-  view.serial = const_cast<Simulator*>(&sim);
-  return save_view_bytes(view);
-}
-
-std::string CheckpointSession::save_bytes(const ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = const_cast<ShardedEngine*>(&eng);
-  return save_view_bytes(view);
-}
-
-void CheckpointSession::restore_bytes(const std::string& bytes,
-                                      Simulator& sim) {
-  EngineView view;
-  view.serial = &sim;
-  restore_view_bytes(bytes, view);
-}
-
-void CheckpointSession::restore_bytes(const std::string& bytes,
-                                      ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = &eng;
-  restore_view_bytes(bytes, view);
-}
-
-AuditReport CheckpointSession::audit(const Simulator& sim) {
-  EngineView view;
-  view.serial = const_cast<Simulator*>(&sim);
-  build_registry();
-  return audit_view(view);
-}
-
-AuditReport CheckpointSession::audit(const ShardedEngine& eng) {
-  EngineView view;
-  view.sharded = const_cast<ShardedEngine*>(&eng);
-  build_registry();
-  return audit_view(view);
+bool run_segmented(ShardedEngine& eng, CheckpointSession& session,
+                   const CheckpointSpec& spec, Time deadline, Time step,
+                   const std::function<void(Time from, Time to)>& segment) {
+  SPINELESS_CHECK_MSG(step > 0, "run_segmented: step must be positive");
+  if (spec.resume && !spec.path.empty()) session.restore(spec.path, eng);
+  Time t = eng.now();  // the resume point when a snapshot was restored
+  Time last_save = t;
+  while (t < deadline) {
+    const Time to = std::min<Time>(deadline, t + step);
+    if (segment) {
+      segment(t, to);
+    } else {
+      eng.run_until(to);
+    }
+    t = to;
+    if (spec.progress) spec.progress(eng.events_processed());
+    if (spec.audit) {
+      const AuditReport report = session.audit(eng);
+      if (!report.ok()) throw Error(report.to_string());
+    }
+    if (t >= deadline) break;  // complete: no snapshot needed
+    if (!spec.path.empty() &&
+        (spec.interval <= 0 || t - last_save >= spec.interval)) {
+      session.save(spec.path, eng);
+      last_save = t;
+    }
+    if (spec.cancel && spec.cancel()) return false;
+  }
+  return true;
 }
 
 std::string section_tag_name(std::uint32_t tag) {

@@ -13,10 +13,12 @@
 // run pops, executes, and schedules the exact event sequence an
 // uninterrupted run would — byte-identical results for any intra_jobs.
 //
-// Checkpoints are only taken at quiescent boundaries: between run_until
-// calls on the serial engine, or between ShardedEngine::run_until calls,
-// where every shard heap is parked, every handoff lane is empty, and
-// pending globals sit in the engine's ordered set.
+// Checkpoints are only taken at quiescent boundaries between
+// ShardedEngine::run_until calls, where every shard heap is parked, every
+// handoff lane is empty, and pending globals sit in the engine's ordered
+// set. A one-shard engine writes the serial layout: one ENGN section for
+// its control simulator and no GLBL section. run_segmented is the one drive
+// loop that visits those boundaries.
 #pragma once
 
 #include <cstdint>
@@ -139,22 +141,17 @@ struct AuditReport {
 // cooperative cancellation / progress hooks the self-healing runner uses.
 struct CheckpointSpec {
   std::string path;       // empty = no checkpoint file
-  Time interval = 0;      // sim-time between checkpoints; 0 = one segment
+  Time interval = 0;      // sim-time between saves; 0 = every boundary
   bool resume = false;    // restore from `path` if it exists
   bool audit = false;     // run the invariant auditor at each boundary
   std::function<bool()> cancel;  // polled at boundaries; true = stop early
   std::function<void(std::uint64_t events)> progress;  // watchdog heartbeat
-
-  bool enabled() const noexcept {
-    return !path.empty() || audit || interval > 0 ||
-           static_cast<bool>(cancel) || static_cast<bool>(progress);
-  }
 };
 
 // Orchestrates save/restore/audit for one experiment: the Network plus any
-// registered Checkpointable parts, against a serial Simulator or a
-// ShardedEngine. config_hash must encode everything that determines the
-// reconstructed experiment (seed, topology, routing mode, intra_jobs...);
+// registered Checkpointable parts, against the ShardedEngine that runs it
+// (at any shard count). config_hash must encode everything that determines
+// the reconstructed experiment (seed, topology, routing mode, intra_jobs...);
 // restore refuses a snapshot whose hash differs.
 class CheckpointSession {
  public:
@@ -163,42 +160,30 @@ class CheckpointSession {
   // Registration order is serialization order; keep it construction order.
   void add(Checkpointable* part) { parts_.push_back(part); }
 
-  void save(const std::string& path, const Simulator& sim);
-  void save(const std::string& path, const ShardedEngine& eng);
-
-  // False: no snapshot at `path` (start from scratch). Throws on a corrupt
-  // or configuration-mismatched snapshot, and when the restored state
-  // violates the snapshot's own summary invariants (see audit()).
-  bool restore(const std::string& path, Simulator& sim);
-  bool restore(const std::string& path, ShardedEngine& eng);
-
-  // Request-granularity checkpoint reuse (the serving layer): seal a
-  // snapshot to resident bytes without touching disk, and restore from
-  // bytes held in memory. Identical format and invariant cross-checks as
-  // the file paths above — save(path) is exactly save_bytes + an atomic
+  // Request-granularity checkpoint reuse (the serving layer) seals a
+  // snapshot to resident bytes without touching disk and restores from
+  // bytes held in memory. save(path) is exactly save_bytes + an atomic
   // write, so a warm checkpoint kept in RAM and one reloaded from disk
   // after a crash restore byte-identically.
-  std::string save_bytes(const Simulator& sim);
   std::string save_bytes(const ShardedEngine& eng);
-  void restore_bytes(const std::string& bytes, Simulator& sim);
-  void restore_bytes(const std::string& bytes, ShardedEngine& eng);
+  void save(const std::string& path, const ShardedEngine& eng);
+
+  // Throws on a corrupt or configuration-mismatched snapshot, and when the
+  // restored state violates the snapshot's own summary invariants (see
+  // audit()). restore returns false when there is no snapshot at `path`
+  // (start from scratch).
+  void restore_bytes(std::string bytes, ShardedEngine& eng);
+  bool restore(const std::string& path, ShardedEngine& eng);
 
   // Live invariant checks at a quiescent boundary: packet conservation
   // (pool in_use == queued nodes + in-flight packet events), monotonic
   // event time (no pending event before now), non-negative / consistent
   // queue occupancy, and TTL bounds on every live packet.
-  AuditReport audit(const Simulator& sim);
   AuditReport audit(const ShardedEngine& eng);
 
  private:
-  struct EngineView;  // uniform serial/sharded access, see checkpoint.cc
-
   void build_registry();
-  std::string save_view_bytes(const EngineView& view);
-  void save_view(const std::string& path, const EngineView& view);
-  void restore_view_bytes(std::string bytes, const EngineView& view);
-  bool restore_view(const std::string& path, const EngineView& view);
-  AuditReport audit_view(const EngineView& view);
+  AuditReport check(const ShardedEngine& eng);  // audit on a built registry
   void write_events(SnapshotWriter& w, const PacketCodec& codec,
                     const std::vector<Simulator::Event>& events) const;
   std::vector<Simulator::Event> read_events(SnapshotReader& r,
@@ -209,6 +194,20 @@ class CheckpointSession {
   std::vector<Checkpointable*> parts_;
   SinkRegistry registry_;
 };
+
+// The one segmented drive loop. Restores from spec.path first when
+// spec.resume is set, then advances `eng` to `deadline` in segments of
+// `step` (> 0) sim-time. At each boundary it reports progress, audits,
+// saves — when spec.path is set and either spec.interval <= 0 or
+// `interval` has passed since the last save — and polls spec.cancel; the
+// final boundary only reports and audits. `segment(from, to)` runs one
+// segment and defaults to eng.run_until(to); the hybrid loop wraps it in
+// its fluid window. Segmentation never changes results: repeated
+// run_until calls execute the identical event sequence as a single call.
+// Returns false when spec.cancel stopped the run (after its save).
+bool run_segmented(ShardedEngine& eng, CheckpointSession& session,
+                   const CheckpointSpec& spec, Time deadline, Time step,
+                   const std::function<void(Time from, Time to)>& segment = {});
 
 // Summary-section field indices, shared with the auditor's negative tests
 // (snapshot_patch_u64 targets these by index).

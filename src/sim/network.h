@@ -79,8 +79,8 @@ struct NetworkConfig {
   // (with their hosts, flows, and NICs) are block-partitioned into this
   // many shards, each with its own event heap and packet pool, advanced by
   // sim::ShardedEngine in lookahead-wide windows. Route-table construction
-  // fans destinations over the same number of workers. 1 = the plain
-  // serial engine; results are byte-identical either way. Clamped to the
+  // fans destinations over the same number of workers. 1 = one shard, no
+  // threads; results are byte-identical either way. Clamped to the
   // switch count.
   int intra_jobs = 1;
   // OS threads backing the sharded engine's reactors. 0 = auto:
@@ -172,7 +172,6 @@ class Network {
 
   // --- Sharding (NetworkConfig::intra_jobs; see sim/sharded_engine.h) ---
   int num_shards() const noexcept { return num_shards_; }
-  bool sharded() const noexcept { return num_shards_ > 1; }
   int shard_of_switch(NodeId n) const {
     return switch_shard_[static_cast<std::size_t>(n)];
   }

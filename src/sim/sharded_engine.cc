@@ -63,6 +63,9 @@ ShardedEngine::ShardedEngine(Network& net)
       lookahead_(net.config().link_delay),
       slots_(static_cast<std::size_t>(net.num_shards())),
       reactor_stats_(static_cast<std::size_t>(num_reactors_)) {
+  // One shard: the control simulator is the whole engine — no router,
+  // pollers, rings or threads, and events stay on its own heap.
+  if (num_shards_ == 1) return;
   SPINELESS_CHECK_MSG(lookahead_ > 0,
                       "sharded engine needs a positive link delay lookahead");
   const std::size_t k = static_cast<std::size_t>(num_shards_);
@@ -205,6 +208,10 @@ void ShardedEngine::grow_pressured_rings() {
 void ShardedEngine::run_until(Time deadline) {
   SPINELESS_DCHECK(deadline >= deadline_);
   deadline_ = deadline;
+  if (num_shards_ == 1) {
+    control_.run_until(deadline);
+    return;
+  }
   grow_pressured_rings();
   plan();
   if (plan_.phase == Phase::kStop) return;  // nothing due: clocks parked

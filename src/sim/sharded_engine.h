@@ -70,8 +70,14 @@
 // and the exact global interleaving, results are byte-identical to the
 // serial engine for any intra_jobs and any reactor_threads.
 //
-// When to use: intra-cell sharding pays on a single large topology
-// (fig6's m >= 12 cells) where PR 1's cell-level Runner has no cells left
+// One shard. The engine is also how every caller runs an unsharded
+// Network (intra_jobs = 1): it then owns the plain control simulator and
+// nothing else — no router, pollers, rings or threads — and run_until,
+// now and events_processed forward to it. A checkpoint of a one-shard
+// engine has the serial layout (sim/checkpoint.h).
+//
+// When to use more: intra-cell sharding pays on a single large topology
+// (fig6's m >= 12 cells) where the cell-level Runner has no cells left
 // to parallelize — i.e. whenever cells < cores. For sweeps with many
 // small cells, outer parallelism wins; the benches split --jobs into
 // (outer) x (--intra_jobs) accordingly.
@@ -93,9 +99,9 @@ namespace spineless::sim {
 
 class ShardedEngine : public ShardRouter {
  public:
-  // The network's intra_jobs determines the shard count; its link delay is
-  // the lookahead (and must be positive). reactor_threads picks the thread
-  // count backing the pollers (0 = auto).
+  // The network's intra_jobs determines the shard count; above one shard
+  // its link delay is the lookahead (and must be positive).
+  // reactor_threads picks the thread count backing the pollers (0 = auto).
   explicit ShardedEngine(Network& net);
   ~ShardedEngine() override;
 

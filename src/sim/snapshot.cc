@@ -1,24 +1,17 @@
 #include "sim/snapshot.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/fsio.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace spineless::sim {
 namespace {
 
 constexpr std::size_t kHeaderSize = 8 + 4 + 8;  // magic + version + hash
-
-std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void put_u32(std::string* buf, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
@@ -126,7 +119,7 @@ void SnapshotWriter::rng_state(const std::array<std::uint64_t, 4>& s) {
 std::string SnapshotWriter::seal() const {
   SPINELESS_CHECK(!in_section_);
   std::string out = buf_;
-  put_u64(&out, fnv1a(out.data(), out.size()));
+  put_u64(&out, util::fnv1a(out));
   return out;
 }
 
@@ -142,7 +135,8 @@ SnapshotReader::SnapshotReader(std::string bytes) : bytes_(std::move(bytes)) {
       "not a spineless snapshot (bad magic)");
   payload_end_ = bytes_.size() - 8;
   const std::uint64_t want = get_u64(bytes_, payload_end_);
-  const std::uint64_t got = fnv1a(bytes_.data(), payload_end_);
+  const std::uint64_t got =
+      util::fnv1a(std::string_view(bytes_).substr(0, payload_end_));
   SPINELESS_CHECK_MSG(want == got, "snapshot checksum mismatch (corrupt)");
   const std::uint32_t version = get_u32(bytes_, 8);
   SPINELESS_CHECK_MSG(version == kSnapshotVersion,
@@ -253,7 +247,9 @@ void snapshot_patch_u64(const std::string& path, std::uint32_t tag,
                           "patch field " << field_index
                                          << " outside section " << tag);
       overwrite_u64(&bytes, at, value);
-      overwrite_u64(&bytes, payload_end, fnv1a(bytes.data(), payload_end));
+      overwrite_u64(
+          &bytes, payload_end,
+          util::fnv1a(std::string_view(bytes).substr(0, payload_end)));
       SPINELESS_CHECK(util::atomic_write_file(path, bytes));
       return;
     }

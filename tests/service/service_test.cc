@@ -6,7 +6,9 @@
 // scripts/service_drain_smoke.sh (ctest: service_drain_smoke).
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "service/warm_state.h"
 #include "util/error.h"
 #include "util/fsio.h"
+#include "util/hash.h"
 
 namespace spineless::service {
 namespace {
@@ -96,6 +99,11 @@ TEST(Jsonin, RejectsMalformedInputWithBytePosition) {
   expect_error("{\"a\":01}");
   expect_error("\"unterminated");
   expect_error("{\"a\":1} trailing");
+  // Nesting is capped at 64: deeper input is a clean error, not a stack
+  // overflow (100k brackets used to segfault the recursive parser).
+  expect_error(std::string(100'000, '['));
+  expect_error(std::string(65, '[') + std::string(65, ']'));
+  EXPECT_NO_THROW(parse_json(std::string(64, '[') + std::string(64, ']')));
 }
 
 TEST(Request, ParsesAndCanonicalizes) {
@@ -130,6 +138,13 @@ TEST(Request, RejectsBadFields) {
                Error);
   EXPECT_THROW(
       parse_request(R"({"id":1,"kind":"status","deadline_ms":-1})"), Error);
+  // Out of int64 range: rejected before the (then undefined) cast.
+  EXPECT_THROW(parse_request(R"({"id":1e999,"kind":"status"})"), Error);
+  EXPECT_THROW(parse_request(R"({"id":-1e999,"kind":"status"})"), Error);
+  EXPECT_THROW(parse_request(R"({"id":9223372036854775808,"kind":"status"})"),
+               Error);
+  EXPECT_EQ(parse_json("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(WarmState, EmptyWhatIfReproducesBaselineExactly) {
@@ -192,6 +207,23 @@ TEST(WarmState, SnapshotRestoreGivesByteIdenticalAnswers) {
   };
   for (const auto& line : lines)
     EXPECT_EQ(a.handle_line(line), b.handle_line(line)) << line;
+}
+
+// The warm checkpoint's bytes, pinned by a digest recorded before the
+// packet what-ifs moved from a bare Simulator to a one-shard ShardedEngine:
+// the engine must write exactly the serial layout.
+TEST(WarmState, WarmSnapshotMatchesRecordedDigest) {
+  const std::string dir = ::testing::TempDir() + "spineless_service_digest";
+  ServiceConfig cfg;
+  cfg.snapshot_dir = dir;
+  util::remove_file(dir + "/service_warm.snap");
+  util::remove_file(dir + "/service_baseline.snap");
+  const auto warm = WarmState::build(cfg);
+  ASSERT_FALSE(warm->restored_from_disk());
+  std::string bytes;
+  ASSERT_TRUE(util::read_file(dir + "/service_warm.snap", &bytes));
+  EXPECT_EQ(bytes.size(), 262731u);
+  EXPECT_EQ(util::fnv1a(bytes), 15355231547753989048ULL);
 }
 
 TEST(Engine, RepeatedRequestIsCachedByteIdentical) {

@@ -23,6 +23,7 @@
 #include "topo/builders.h"
 #include "util/error.h"
 #include "util/fsio.h"
+#include "util/hash.h"
 #include "workload/flows.h"
 
 namespace spineless::sim {
@@ -249,7 +250,8 @@ struct FaultPrint {
   bool operator==(const FaultPrint&) const = default;
 };
 
-// interrupt_at: boundary index after which to save + stop (-1 = never).
+// interrupt_at: boundary index at which to stop (-1 = never). With a path,
+// every boundary up to it saves, so the file then holds that boundary.
 FaultPrint run_fault_cell(int intra, int interrupt_at,
                           const std::string& path, bool resume) {
   const auto d = topo::make_dring(6, 2, 2);
@@ -272,46 +274,25 @@ FaultPrint run_fault_cell(int intra, int interrupt_at,
   session.add(&inj);
   session.add(&mon);
 
-  const auto setup = [&](Simulator& sim) {
-    const int hosts = d.graph.total_servers();
-    for (int i = 0; i < 12; ++i)
-      driver.add_flow(sim, i % hosts, (i * 5 + 3) % hosts, 4'000'000,
-                      i * units::kMicrosecond);
-    inj.arm(sim, kFaultDeadline);
-    mon.start(sim, 0, kFaultDeadline);
-  };
-  const auto drive = [&](auto& eng) {
-    if (resume) session.restore(path, eng);
-    const Time step = kFaultDeadline / 6;
-    Time t = eng.now();
-    int boundary = 0;
-    while (t < kFaultDeadline) {
-      t = std::min<Time>(kFaultDeadline, t + step);
-      eng.run_until(t);
-      const AuditReport report = session.audit(eng);
-      if (!report.ok()) throw Error(report.to_string());
-      if (t >= kFaultDeadline) break;
-      if (++boundary == interrupt_at) {
-        session.save(path, eng);
-        return false;
-      }
-    }
-    return true;
-  };
+  ShardedEngine engine(net);
+  const int hosts = d.graph.total_servers();
+  for (int i = 0; i < 12; ++i)
+    driver.add_flow(engine.control(), i % hosts, (i * 5 + 3) % hosts,
+                    4'000'000, i * units::kMicrosecond);
+  inj.arm(engine.control(), kFaultDeadline);
+  mon.start(engine.control(), 0, kFaultDeadline);
+
+  CheckpointSpec spec;
+  spec.path = path;
+  spec.resume = resume;
+  spec.audit = true;
+  int boundary = 0;
+  spec.cancel = [&] { return ++boundary == interrupt_at; };
+  const bool finished =
+      run_segmented(engine, session, spec, kFaultDeadline, kFaultDeadline / 6);
 
   FaultPrint out;
-  bool finished = false;
-  if (intra == 1) {
-    Simulator sim;
-    setup(sim);
-    finished = drive(sim);
-    out.events = sim.events_processed();
-  } else {
-    ShardedEngine engine(net);
-    setup(engine.control());
-    finished = drive(engine);
-    out.events = engine.events_processed();
-  }
+  out.events = engine.events_processed();
   if (!finished) return out;  // caller resumes; counters are partial
 
   const auto stats = net.stats();
@@ -342,6 +323,20 @@ TEST(Checkpoint, FaultPlanKillAndResumeIsByteIdentical) {
     EXPECT_EQ(base, resumed);
     util::remove_file(path);
   }
+}
+
+// The serial cell's boundary-2 snapshot, pinned by a digest recorded when
+// intra_jobs=1 still ran on a bare Simulator: the one-shard engine must
+// write exactly that layout (one ENGN section, no GLBL).
+TEST(Checkpoint, SerialFaultSnapshotMatchesRecordedDigest) {
+  const std::string path = tmp_path("fault_digest");
+  util::remove_file(path);
+  run_fault_cell(1, 2, path, false);
+  std::string bytes;
+  ASSERT_TRUE(util::read_file(path, &bytes));
+  EXPECT_EQ(bytes.size(), 68748u);
+  EXPECT_EQ(util::fnv1a(bytes), 6947642084421742835ULL);
+  util::remove_file(path);
 }
 
 }  // namespace
