@@ -22,7 +22,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -229,6 +231,16 @@ class BenchJson {
     double packet_p99_ms = 0;
     double p50_ratio = 0;
     double p99_ratio = 0;
+
+    bool operator==(const Cell&) const = default;
+
+    // The cell's BENCH object — also its sweep-journal record, so a resumed
+    // cell re-emits exactly these bytes. Optional fields and blocks appear
+    // only when set, so a clean run's JSON is the same with or without the
+    // resilient path.
+    void write_json(JsonWriter& w) const;
+    // Reads an object write_json produced; absent fields keep defaults.
+    static Cell from_json(const JsonValue& o);
   };
 
   BenchJson(std::string name, const Flags& flags)
@@ -290,86 +302,7 @@ class BenchJson {
     w.kv("total_wall_s", total_wall_s);
     w.key("cells");
     w.begin_array();
-    for (const Cell& c : cells_) {
-      w.begin_object();
-      w.kv("label", c.label);
-      w.kv("wall_s", c.wall_s);
-      w.kv("events", c.events);
-      w.kv("events_per_sec",
-           c.wall_s > 0 ? static_cast<double>(c.events) / c.wall_s : 0.0);
-      w.kv("intra_jobs", c.intra_jobs);
-      if (c.status != "ok") {
-        w.kv("status", c.status);
-        if (!c.error.empty()) w.kv("error", c.error);
-      }
-      if (c.attempts > 1) w.kv("attempts", c.attempts);
-      if (c.table_build_s > 0) w.kv("table_build_s", c.table_build_s);
-      if (c.has_fct) {
-        w.key("fct");
-        w.begin_object();
-        w.kv("flows", static_cast<std::int64_t>(c.flows));
-        w.kv("completed", static_cast<std::int64_t>(c.completed));
-        w.kv("p50_ms", c.p50_ms);
-        w.kv("p99_ms", c.p99_ms);
-        w.kv("drops", c.drops);
-        w.kv("retransmits", c.retransmits);
-        w.end_object();
-      }
-      if (c.has_hybrid) {
-        w.key("hybrid");
-        w.begin_object();
-        w.kv("result_hash", c.result_hash);
-        w.kv("fluid_windows", c.fluid_windows);
-        w.kv("fluid_solves", c.fluid_solves);
-        w.kv("fluid_solves_skipped", c.fluid_solves_skipped);
-        w.kv("internal_flows", static_cast<std::int64_t>(c.internal_flows));
-        w.kv("boundary_flows", static_cast<std::int64_t>(c.boundary_flows));
-        w.kv("external_flows", static_cast<std::int64_t>(c.external_flows));
-        w.kv("region_switches", c.region_switches);
-        w.kv("cut_links", c.cut_links);
-        w.end_object();
-      }
-      if (c.has_hybrid_fault) {
-        w.key("fault_tolerance");
-        w.begin_object();
-        w.kv("failed_links", c.failed_links);
-        w.kv("fluid_outages", static_cast<std::int64_t>(c.fluid_outages));
-        w.kv("stalled_flows", static_cast<std::int64_t>(c.stalled_flows));
-        w.kv("boundary_repins",
-             static_cast<std::int64_t>(c.boundary_repins));
-        w.kv("fluid_blackhole_s", c.fluid_blackhole_s);
-        w.kv("stalled_s", c.stalled_s);
-        w.kv("goodput_recovery", c.goodput_recovery);
-        w.end_object();
-      }
-      if (c.has_calib) {
-        w.key("calibration");
-        w.begin_object();
-        w.kv("packet_p50_ms", c.packet_p50_ms);
-        w.kv("packet_p99_ms", c.packet_p99_ms);
-        w.kv("p50_ratio", c.p50_ratio);
-        w.kv("p99_ratio", c.p99_ratio);
-        w.end_object();
-      }
-      if (c.has_fault) {
-        w.key("fault");
-        w.begin_object();
-        w.kv("blackhole_s", c.blackhole_s);
-        w.kv("detect_ms", c.detect_ms);
-        w.kv("outage_ms", c.outage_ms);
-        w.kv("blackhole_drops", c.blackhole_drops);
-        w.kv("gray_drops", c.gray_drops);
-        w.kv("corrupt_drops", c.corrupt_drops);
-        w.kv("rescued_flows", static_cast<std::int64_t>(c.rescued_flows));
-        w.kv("goodput_recovery", c.goodput_recovery);
-        w.kv("undetected_gray_windows", c.undetected_gray_windows);
-        w.kv("ctrl_outages", static_cast<std::int64_t>(c.fault_outages));
-        w.kv("completed", static_cast<std::int64_t>(c.fault_completed));
-        w.kv("flows", static_cast<std::int64_t>(c.fault_flows));
-        w.end_object();
-      }
-      w.end_object();
-    }
+    for (const Cell& c : cells_) c.write_json(w);
     w.end_array();
     w.end_object();
     if (write_json_file(path_, w))
@@ -388,182 +321,171 @@ class BenchJson {
   bool resumed_ = false;
 };
 
-// --- Resumable sweeps --------------------------------------------------------
-// Cell results round-trip through the sweep journal as key=value strings:
-// doubles via %.17g (exact for IEEE-754 binary64), everything else as
-// decimal integers. Default-valued fields are omitted on write and default
-// on read, so a journaled cell re-emits the same JSON a live one would.
+// --- The cell codec ----------------------------------------------------------
+// write_json is the one encoding of a Cell: BenchJson::write emits it and the
+// sweep journal stores it, so a cell that from_json reads back after a kill
+// re-emits the same bytes. Doubles print as %.9g, and a decimal of 15 or
+// fewer significant digits round-trips exactly through a double;
+// events_per_sec derives from the printed wall_s for the same reason.
 
-namespace detail {
-
-inline std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+inline void BenchJson::Cell::write_json(JsonWriter& w) const {
+  const double wall = json_rounded(wall_s);
+  w.begin_object();
+  w.kv("label", label);
+  w.kv("wall_s", wall);
+  w.kv("events", events);
+  w.kv("events_per_sec", wall > 0 ? static_cast<double>(events) / wall : 0.0);
+  w.kv("intra_jobs", intra_jobs);
+  if (status != "ok") {
+    w.kv("status", status);
+    if (!error.empty()) w.kv("error", error);
+  }
+  if (attempts > 1) w.kv("attempts", attempts);
+  if (table_build_s > 0) w.kv("table_build_s", table_build_s);
+  if (has_fct) {
+    w.key("fct");
+    w.begin_object();
+    w.kv("flows", static_cast<std::int64_t>(flows));
+    w.kv("completed", static_cast<std::int64_t>(completed));
+    w.kv("p50_ms", p50_ms);
+    w.kv("p99_ms", p99_ms);
+    w.kv("drops", drops);
+    w.kv("retransmits", retransmits);
+    w.end_object();
+  }
+  if (has_hybrid) {
+    w.key("hybrid");
+    w.begin_object();
+    w.kv("result_hash", result_hash);
+    w.kv("fluid_windows", fluid_windows);
+    w.kv("fluid_solves", fluid_solves);
+    w.kv("fluid_solves_skipped", fluid_solves_skipped);
+    w.kv("internal_flows", static_cast<std::int64_t>(internal_flows));
+    w.kv("boundary_flows", static_cast<std::int64_t>(boundary_flows));
+    w.kv("external_flows", static_cast<std::int64_t>(external_flows));
+    w.kv("region_switches", region_switches);
+    w.kv("cut_links", cut_links);
+    w.end_object();
+  }
+  if (has_hybrid_fault) {
+    w.key("fault_tolerance");
+    w.begin_object();
+    w.kv("failed_links", failed_links);
+    w.kv("fluid_outages", static_cast<std::int64_t>(fluid_outages));
+    w.kv("stalled_flows", static_cast<std::int64_t>(stalled_flows));
+    w.kv("boundary_repins", static_cast<std::int64_t>(boundary_repins));
+    w.kv("fluid_blackhole_s", fluid_blackhole_s);
+    w.kv("stalled_s", stalled_s);
+    w.kv("goodput_recovery", goodput_recovery);
+    w.end_object();
+  }
+  if (has_calib) {
+    w.key("calibration");
+    w.begin_object();
+    w.kv("packet_p50_ms", packet_p50_ms);
+    w.kv("packet_p99_ms", packet_p99_ms);
+    w.kv("p50_ratio", p50_ratio);
+    w.kv("p99_ratio", p99_ratio);
+    w.end_object();
+  }
+  if (has_fault) {
+    w.key("fault");
+    w.begin_object();
+    w.kv("blackhole_s", blackhole_s);
+    w.kv("detect_ms", detect_ms);
+    w.kv("outage_ms", outage_ms);
+    w.kv("blackhole_drops", blackhole_drops);
+    w.kv("gray_drops", gray_drops);
+    w.kv("corrupt_drops", corrupt_drops);
+    w.kv("rescued_flows", static_cast<std::int64_t>(rescued_flows));
+    w.kv("goodput_recovery", goodput_recovery);
+    w.kv("undetected_gray_windows", undetected_gray_windows);
+    w.kv("ctrl_outages", static_cast<std::int64_t>(fault_outages));
+    w.kv("completed", static_cast<std::int64_t>(fault_completed));
+    w.kv("flows", static_cast<std::int64_t>(fault_flows));
+    w.end_object();
+  }
+  w.end_object();
 }
 
-inline double field_d(const util::SweepJournal::Fields& f, const char* key,
-                      double def = 0) {
-  const auto it = f.find(key);
-  return it == f.end() ? def : std::strtod(it->second.c_str(), nullptr);
-}
-
-inline std::int64_t field_i(const util::SweepJournal::Fields& f,
-                            const char* key, std::int64_t def = 0) {
-  const auto it = f.find(key);
-  return it == f.end() ? def
-                       : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-inline std::uint64_t field_u(const util::SweepJournal::Fields& f,
-                             const char* key, std::uint64_t def = 0) {
-  const auto it = f.find(key);
-  return it == f.end() ? def
-                       : std::strtoull(it->second.c_str(), nullptr, 10);
-}
-
-inline std::string field_s(const util::SweepJournal::Fields& f,
-                           const char* key, const char* def = "") {
-  const auto it = f.find(key);
-  return it == f.end() ? def : it->second;
-}
-
-}  // namespace detail
-
-inline util::SweepJournal::Fields cell_to_fields(const BenchJson::Cell& c) {
-  using detail::fmt_double;
-  util::SweepJournal::Fields f;
-  f["label"] = c.label;
-  f["wall_s"] = fmt_double(c.wall_s);
-  f["events"] = std::to_string(c.events);
-  f["intra_jobs"] = std::to_string(c.intra_jobs);
-  if (c.table_build_s > 0) f["table_build_s"] = fmt_double(c.table_build_s);
-  if (c.status != "ok") f["status"] = c.status;
-  if (c.attempts > 1) f["attempts"] = std::to_string(c.attempts);
-  if (!c.error.empty()) f["error"] = c.error;
-  if (c.has_fct) {
-    f["fct"] = "1";
-    f["flows"] = std::to_string(c.flows);
-    f["completed"] = std::to_string(c.completed);
-    f["p50_ms"] = fmt_double(c.p50_ms);
-    f["p99_ms"] = fmt_double(c.p99_ms);
-    f["drops"] = std::to_string(c.drops);
-    f["retransmits"] = std::to_string(c.retransmits);
+inline BenchJson::Cell BenchJson::Cell::from_json(const JsonValue& o) {
+  // Sets `out` from member `key` of `obj` when present. JsonWriter prints
+  // non-finite doubles as null, which reads back as NaN.
+  const auto read = [](const JsonValue& obj, const char* key, auto& out) {
+    const JsonValue* v = obj.find(key);
+    if (v == nullptr) return;
+    using T = std::remove_reference_t<decltype(out)>;
+    if constexpr (std::is_same_v<T, std::string>)
+      out = v->as_string();
+    else if constexpr (std::is_floating_point_v<T>)
+      out = v->is_null() ? std::numeric_limits<T>::quiet_NaN()
+                         : v->as_number();
+    else if constexpr (std::is_signed_v<T>)
+      out = static_cast<T>(v->as_int());
+    else
+      out = static_cast<T>(v->as_uint());
+  };
+  Cell c;
+  read(o, "label", c.label);
+  read(o, "wall_s", c.wall_s);
+  read(o, "events", c.events);
+  read(o, "intra_jobs", c.intra_jobs);
+  read(o, "status", c.status);
+  read(o, "error", c.error);
+  read(o, "attempts", c.attempts);
+  read(o, "table_build_s", c.table_build_s);
+  if (const JsonValue* b = o.find("fct")) {
+    c.has_fct = true;
+    read(*b, "flows", c.flows);
+    read(*b, "completed", c.completed);
+    read(*b, "p50_ms", c.p50_ms);
+    read(*b, "p99_ms", c.p99_ms);
+    read(*b, "drops", c.drops);
+    read(*b, "retransmits", c.retransmits);
   }
-  if (c.has_hybrid) {
-    f["hybrid"] = "1";
-    f["result_hash"] = std::to_string(c.result_hash);
-    f["fluid_windows"] = std::to_string(c.fluid_windows);
-    f["fluid_solves"] = std::to_string(c.fluid_solves);
-    f["fluid_solves_skipped"] = std::to_string(c.fluid_solves_skipped);
-    f["internal_flows"] = std::to_string(c.internal_flows);
-    f["boundary_flows"] = std::to_string(c.boundary_flows);
-    f["external_flows"] = std::to_string(c.external_flows);
-    f["region_switches"] = std::to_string(c.region_switches);
-    f["cut_links"] = std::to_string(c.cut_links);
+  if (const JsonValue* b = o.find("hybrid")) {
+    c.has_hybrid = true;
+    read(*b, "result_hash", c.result_hash);
+    read(*b, "fluid_windows", c.fluid_windows);
+    read(*b, "fluid_solves", c.fluid_solves);
+    read(*b, "fluid_solves_skipped", c.fluid_solves_skipped);
+    read(*b, "internal_flows", c.internal_flows);
+    read(*b, "boundary_flows", c.boundary_flows);
+    read(*b, "external_flows", c.external_flows);
+    read(*b, "region_switches", c.region_switches);
+    read(*b, "cut_links", c.cut_links);
   }
-  if (c.has_hybrid_fault) {
-    f["hybrid_fault"] = "1";
-    f["failed_links"] = std::to_string(c.failed_links);
-    f["fluid_outages"] = std::to_string(c.fluid_outages);
-    f["stalled_flows"] = std::to_string(c.stalled_flows);
-    f["boundary_repins"] = std::to_string(c.boundary_repins);
-    f["fluid_blackhole_s"] = fmt_double(c.fluid_blackhole_s);
-    f["stalled_s"] = fmt_double(c.stalled_s);
-    f["goodput_recovery"] = fmt_double(c.goodput_recovery);
+  if (const JsonValue* b = o.find("fault_tolerance")) {
+    c.has_hybrid_fault = true;
+    read(*b, "failed_links", c.failed_links);
+    read(*b, "fluid_outages", c.fluid_outages);
+    read(*b, "stalled_flows", c.stalled_flows);
+    read(*b, "boundary_repins", c.boundary_repins);
+    read(*b, "fluid_blackhole_s", c.fluid_blackhole_s);
+    read(*b, "stalled_s", c.stalled_s);
+    read(*b, "goodput_recovery", c.goodput_recovery);
   }
-  if (c.has_calib) {
-    f["calib"] = "1";
-    f["packet_p50_ms"] = fmt_double(c.packet_p50_ms);
-    f["packet_p99_ms"] = fmt_double(c.packet_p99_ms);
-    f["p50_ratio"] = fmt_double(c.p50_ratio);
-    f["p99_ratio"] = fmt_double(c.p99_ratio);
+  if (const JsonValue* b = o.find("calibration")) {
+    c.has_calib = true;
+    read(*b, "packet_p50_ms", c.packet_p50_ms);
+    read(*b, "packet_p99_ms", c.packet_p99_ms);
+    read(*b, "p50_ratio", c.p50_ratio);
+    read(*b, "p99_ratio", c.p99_ratio);
   }
-  if (c.has_fault) {
-    f["fault"] = "1";
-    f["blackhole_s"] = fmt_double(c.blackhole_s);
-    f["detect_ms"] = fmt_double(c.detect_ms);
-    f["outage_ms"] = fmt_double(c.outage_ms);
-    f["blackhole_drops"] = std::to_string(c.blackhole_drops);
-    f["gray_drops"] = std::to_string(c.gray_drops);
-    f["corrupt_drops"] = std::to_string(c.corrupt_drops);
-    f["rescued_flows"] = std::to_string(c.rescued_flows);
-    f["goodput_recovery"] = fmt_double(c.goodput_recovery);
-    f["undetected_gray"] = std::to_string(c.undetected_gray_windows);
-    f["ctrl_outages"] = std::to_string(c.fault_outages);
-    f["fault_completed"] = std::to_string(c.fault_completed);
-    f["fault_flows"] = std::to_string(c.fault_flows);
-  }
-  return f;
-}
-
-inline BenchJson::Cell cell_from_fields(const util::SweepJournal::Fields& f) {
-  using namespace detail;
-  BenchJson::Cell c;
-  c.label = field_s(f, "label");
-  c.wall_s = field_d(f, "wall_s");
-  c.events = static_cast<std::uint64_t>(field_i(f, "events"));
-  c.intra_jobs = static_cast<int>(field_i(f, "intra_jobs", 1));
-  c.table_build_s = field_d(f, "table_build_s");
-  c.status = field_s(f, "status", "ok");
-  c.attempts = static_cast<int>(field_i(f, "attempts", 1));
-  c.error = field_s(f, "error");
-  c.has_fct = field_i(f, "fct") != 0;
-  if (c.has_fct) {
-    c.flows = static_cast<std::size_t>(field_i(f, "flows"));
-    c.completed = static_cast<std::size_t>(field_i(f, "completed"));
-    c.p50_ms = field_d(f, "p50_ms");
-    c.p99_ms = field_d(f, "p99_ms");
-    c.drops = field_i(f, "drops");
-    c.retransmits = field_i(f, "retransmits");
-  }
-  c.has_hybrid = field_i(f, "hybrid") != 0;
-  if (c.has_hybrid) {
-    c.result_hash = field_u(f, "result_hash");  // full uint64, no sign clip
-    c.fluid_windows = static_cast<std::uint64_t>(field_i(f, "fluid_windows"));
-    c.fluid_solves = static_cast<std::uint64_t>(field_i(f, "fluid_solves"));
-    c.fluid_solves_skipped =
-        static_cast<std::uint64_t>(field_i(f, "fluid_solves_skipped"));
-    c.internal_flows = static_cast<std::size_t>(field_i(f, "internal_flows"));
-    c.boundary_flows = static_cast<std::size_t>(field_i(f, "boundary_flows"));
-    c.external_flows = static_cast<std::size_t>(field_i(f, "external_flows"));
-    c.region_switches = static_cast<int>(field_i(f, "region_switches"));
-    c.cut_links = static_cast<int>(field_i(f, "cut_links"));
-  }
-  c.has_hybrid_fault = field_i(f, "hybrid_fault") != 0;
-  if (c.has_hybrid_fault) {
-    c.failed_links = static_cast<int>(field_i(f, "failed_links"));
-    c.fluid_outages = static_cast<std::size_t>(field_i(f, "fluid_outages"));
-    c.stalled_flows = static_cast<std::size_t>(field_i(f, "stalled_flows"));
-    c.boundary_repins =
-        static_cast<std::size_t>(field_i(f, "boundary_repins"));
-    c.fluid_blackhole_s = field_d(f, "fluid_blackhole_s");
-    c.stalled_s = field_d(f, "stalled_s");
-    c.goodput_recovery = field_d(f, "goodput_recovery");
-  }
-  c.has_calib = field_i(f, "calib") != 0;
-  if (c.has_calib) {
-    c.packet_p50_ms = field_d(f, "packet_p50_ms");
-    c.packet_p99_ms = field_d(f, "packet_p99_ms");
-    c.p50_ratio = field_d(f, "p50_ratio");
-    c.p99_ratio = field_d(f, "p99_ratio");
-  }
-  c.has_fault = field_i(f, "fault") != 0;
-  if (c.has_fault) {
-    c.blackhole_s = field_d(f, "blackhole_s");
-    c.detect_ms = field_d(f, "detect_ms", -1);
-    c.outage_ms = field_d(f, "outage_ms", -1);
-    c.blackhole_drops = field_i(f, "blackhole_drops");
-    c.gray_drops = field_i(f, "gray_drops");
-    c.corrupt_drops = field_i(f, "corrupt_drops");
-    c.rescued_flows = static_cast<std::size_t>(field_i(f, "rescued_flows"));
-    c.goodput_recovery = field_d(f, "goodput_recovery");
-    c.undetected_gray_windows =
-        static_cast<int>(field_i(f, "undetected_gray"));
-    c.fault_outages = static_cast<std::size_t>(field_i(f, "ctrl_outages"));
-    c.fault_completed =
-        static_cast<std::size_t>(field_i(f, "fault_completed"));
-    c.fault_flows = static_cast<std::size_t>(field_i(f, "fault_flows"));
+  if (const JsonValue* b = o.find("fault")) {
+    c.has_fault = true;
+    read(*b, "blackhole_s", c.blackhole_s);
+    read(*b, "detect_ms", c.detect_ms);
+    read(*b, "outage_ms", c.outage_ms);
+    read(*b, "blackhole_drops", c.blackhole_drops);
+    read(*b, "gray_drops", c.gray_drops);
+    read(*b, "corrupt_drops", c.corrupt_drops);
+    read(*b, "rescued_flows", c.rescued_flows);
+    read(*b, "goodput_recovery", c.goodput_recovery);
+    read(*b, "undetected_gray_windows", c.undetected_gray_windows);
+    read(*b, "ctrl_outages", c.fault_outages);
+    read(*b, "completed", c.fault_completed);
+    read(*b, "flows", c.fault_flows);
   }
   return c;
 }
@@ -749,15 +671,15 @@ std::vector<BenchJson::Cell> run_resumable(core::Runner& runner,
                                            std::size_t n,
                                            ResumableSweep& sweep, Fn&& fn) {
   // Snapshot the journal hits before the parallel map: get() is not safe
-  // against a concurrent record(), but std::map nodes stay put, so the
+  // against a concurrent record(), but the records stay put, so the
   // prefetched pointers survive later inserts.
-  std::vector<const util::SweepJournal::Fields*> done(n, nullptr);
+  std::vector<const JsonValue*> done(n, nullptr);
   for (std::size_t i = 0; i < n; ++i)
     done[i] = sweep.journal().get("cell" + std::to_string(i));
 
   util::Watchdog dog(n, sweep.policy());
   return runner.map(n, [&](std::size_t i) {
-    if (done[i]) return cell_from_fields(*done[i]);
+    if (done[i]) return BenchJson::Cell::from_json(*done[i]);
     const std::string label = "cell" + std::to_string(i);
     const auto start = std::chrono::steady_clock::now();
     auto out = util::run_cell_attempts(
@@ -782,7 +704,9 @@ std::vector<BenchJson::Cell> run_resumable(core::Runner& runner,
         if (cell.label.empty()) cell.label = label;
         return cell;
     }
-    sweep.journal().record(label, cell_to_fields(cell));
+    JsonWriter record;
+    cell.write_json(record);
+    sweep.journal().record(label, record);
     return cell;
   });
 }

@@ -46,15 +46,17 @@ echo "== perf smoke (reactor-engine overhead) =="
 # three timed passes, so a single descheduling blip does not fail CI.
 ./build/bench/bench_micro --json=perf_smoke_serial.json
 ./build/bench/bench_micro --intra_jobs=2 --json=perf_smoke_intra2.json
-serial_eps=$(sed -n 's/.*"events_per_sec":\([0-9.eE+-]*\).*/\1/p' perf_smoke_serial.json)
-intra2_eps=$(sed -n 's/.*"events_per_sec":\([0-9.eE+-]*\).*/\1/p' perf_smoke_intra2.json)
-awk -v s="$serial_eps" -v p="$intra2_eps" 'BEGIN {
-  if (s <= 0 || p <= 0) { print "perf smoke: missing events_per_sec"; exit 1 }
-  overhead = (s - p) / s * 100
-  printf "serial %.2fM events/s, intra_jobs=2 %.2fM events/s, overhead %.1f%%\n", \
-         s / 1e6, p / 1e6, overhead
-  if (overhead > 10.0) { print "perf smoke: 1-core overhead above 10% gate"; exit 1 }
-}'
+python3 - perf_smoke_serial.json perf_smoke_intra2.json <<'EOF'
+import json, sys
+s, p = (json.load(open(path)).get("events_per_sec", 0) for path in sys.argv[1:])
+if s <= 0 or p <= 0:
+    sys.exit("perf smoke: missing events_per_sec")
+overhead = (s - p) / s * 100
+print("serial %.2fM events/s, intra_jobs=2 %.2fM events/s, overhead %.1f%%"
+      % (s / 1e6, p / 1e6, overhead))
+if overhead > 10.0:
+    sys.exit("perf smoke: 1-core overhead above 10% gate")
+EOF
 
 echo "== hybrid smoke (packet/fluid co-simulation) =="
 # A small hybrid cell (48-switch DRing): the binary itself asserts the
@@ -65,18 +67,20 @@ echo "== hybrid smoke (packet/fluid co-simulation) =="
 # a no-op cannot pass.
 ./build/bench/bench_hybrid --m=12 --hot_flows=64 --bg_flows=32 \
   --json_out=hybrid_smoke.json
-awk '
-  /"result_hash":/   { if ($NF + 0 != 0) hash_ok = 1 }
-  /"events":/        { if ($NF + 0 > 0) pkt_ok = 1 }
-  /"fluid_windows":/ { if ($NF + 0 > 0) windows_ok = 1 }
-  /"fluid_solves":/  { if ($NF + 0 > 0) solves_ok = 1 }
-  END {
-    if (!hash_ok)    { print "hybrid smoke: no nonzero result_hash"; exit 1 }
-    if (!pkt_ok)     { print "hybrid smoke: zero packet events"; exit 1 }
-    if (!windows_ok) { print "hybrid smoke: zero fluid windows"; exit 1 }
-    if (!solves_ok)  { print "hybrid smoke: zero fluid solves"; exit 1 }
-    print "hybrid smoke: determinism hash ok, packet + fluid halves live"
-  }' RS=',|\n' FS=':' hybrid_smoke.json
+python3 - hybrid_smoke.json <<'EOF'
+import json, sys
+cells = json.load(open(sys.argv[1]))["cells"]
+hybrid = [c["hybrid"] for c in cells if "hybrid" in c]
+for ok, what in [
+    (any(h["result_hash"] != 0 for h in hybrid), "no nonzero result_hash"),
+    (any(c["events"] > 0 for c in cells), "zero packet events"),
+    (any(h["fluid_windows"] > 0 for h in hybrid), "zero fluid windows"),
+    (any(h["fluid_solves"] > 0 for h in hybrid), "zero fluid solves"),
+]:
+    if not ok:
+        sys.exit("hybrid smoke: " + what)
+print("hybrid smoke: determinism hash ok, packet + fluid halves live")
+EOF
 
 echo "== hybrid-fault smoke (whole-network fault tolerance) =="
 # Flap a seed-sampled set of whole-graph links (region, cut, and external
@@ -89,15 +93,19 @@ echo "== hybrid-fault smoke (whole-network fault tolerance) =="
 ./build/bench/bench_hybrid --faults --m=12 --m_big=12 --hot_flows=32 \
   --bg_flows=16 --flow_bytes=2000000 --flap_ms=1 \
   --json_out=hybrid_fault_smoke.json
-awk '
-  /"fluid_outages":/    { cells++; if ($NF + 0 > 0) outage_ok++ }
-  /"goodput_recovery":/ { if ($NF + 0 >= 0.95) recov_ok++ }
-  END {
-    if (cells == 0)        { print "hybrid-fault smoke: no fault cells"; exit 1 }
-    if (outage_ok < cells) { print "hybrid-fault smoke: a cell saw no fluid outage"; exit 1 }
-    if (recov_ok < cells)  { print "hybrid-fault smoke: goodput recovery below 95%"; exit 1 }
-    printf "hybrid-fault smoke: %d cells, fluid outages live, recovery >= 95%%\n", cells
-  }' RS=',|\n' FS=':' hybrid_fault_smoke.json
+python3 - hybrid_fault_smoke.json <<'EOF'
+import json, sys
+cells = [c["fault_tolerance"] for c in json.load(open(sys.argv[1]))["cells"]
+         if "fault_tolerance" in c]
+if not cells:
+    sys.exit("hybrid-fault smoke: no fault cells")
+if any(c["fluid_outages"] <= 0 for c in cells):
+    sys.exit("hybrid-fault smoke: a cell saw no fluid outage")
+if any(c["goodput_recovery"] < 0.95 for c in cells):
+    sys.exit("hybrid-fault smoke: goodput recovery below 95%")
+print("hybrid-fault smoke: %d cells, fluid outages live, recovery >= 95%%"
+      % len(cells))
+EOF
 
 echo "== serving smoke (spinelessd) =="
 # The full robustness ladder at process level: SIGTERM graceful drain with

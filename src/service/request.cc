@@ -1,6 +1,5 @@
 #include "service/request.h"
 
-#include "service/jsonin.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -25,6 +24,29 @@ const char* kind_name(RequestKind k) {
     case RequestKind::kStatus: return "status";
   }
   return "status";
+}
+
+// Writes every answer-affecting field in a fixed key order, always present:
+// two requests ask the same question iff these bytes are equal.
+void write_question(JsonWriter& w, const Request& req) {
+  w.kv("kind", kind_name(req.kind));
+  switch (req.kind) {
+    case RequestKind::kWhatIfFault:
+      w.kv("spec", req.fault_spec);
+      break;
+    case RequestKind::kWhatIfTm:
+      w.kv("tm", req.tm);
+      w.kv("load_scale", req.load_scale);
+      break;
+    case RequestKind::kAffected:
+      w.kv("link", req.link);
+      w.kv("down", req.down);
+      break;
+    case RequestKind::kStatus:
+      break;
+  }
+  w.kv("fidelity", fidelity_name(req.fidelity));
+  w.kv("seed_salt", req.seed_salt);
 }
 
 Fidelity parse_fidelity(const std::string& s) {
@@ -99,33 +121,14 @@ Request parse_request(const std::string& line) {
     if (req.deadline_ms < 0) throw Error("request: negative deadline_ms");
   }
   if (const JsonValue* s = doc.find("seed_salt"))
-    req.seed_salt = static_cast<std::uint64_t>(s->as_int());
+    req.seed_salt = s->as_uint();
   return req;
 }
 
 std::string canonical_request_body(const Request& req) {
-  // Fixed key order, every answer-affecting field always present: two
-  // requests ask the same question iff their bodies are byte-equal.
   JsonWriter w;
   w.begin_object();
-  w.kv("kind", kind_name(req.kind));
-  switch (req.kind) {
-    case RequestKind::kWhatIfFault:
-      w.kv("spec", req.fault_spec);
-      break;
-    case RequestKind::kWhatIfTm:
-      w.kv("tm", req.tm);
-      w.kv("load_scale", req.load_scale);
-      break;
-    case RequestKind::kAffected:
-      w.kv("link", req.link);
-      w.kv("down", req.down);
-      break;
-    case RequestKind::kStatus:
-      break;
-  }
-  w.kv("fidelity", fidelity_name(req.fidelity));
-  w.kv("seed_salt", req.seed_salt);
+  write_question(w, req);
   w.end_object();
   return w.str();
 }
@@ -134,24 +137,7 @@ std::string canonical_request_line(const Request& req) {
   JsonWriter w;
   w.begin_object();
   w.kv("id", req.id);
-  w.kv("kind", kind_name(req.kind));
-  switch (req.kind) {
-    case RequestKind::kWhatIfFault:
-      w.kv("spec", req.fault_spec);
-      break;
-    case RequestKind::kWhatIfTm:
-      w.kv("tm", req.tm);
-      w.kv("load_scale", req.load_scale);
-      break;
-    case RequestKind::kAffected:
-      w.kv("link", req.link);
-      w.kv("down", req.down);
-      break;
-    case RequestKind::kStatus:
-      break;
-  }
-  w.kv("fidelity", fidelity_name(req.fidelity));
-  w.kv("seed_salt", req.seed_salt);
+  write_question(w, req);
   if (req.deadline_ms > 0) w.kv("deadline_ms", req.deadline_ms);
   w.end_object();
   return w.str();

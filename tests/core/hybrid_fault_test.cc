@@ -27,6 +27,7 @@
 #include "topo/builders.h"
 #include "topo/region.h"
 #include "util/fsio.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "workload/flows.h"
 #include "workload/tm.h"
@@ -38,12 +39,19 @@ std::string tmp_path(const std::string& name) {
   return ::testing::TempDir() + "spineless_hybrid_fault_" + name;
 }
 
-// First i64 following `"key":` in a (spineless-emitted, unspaced) JSON
-// document — enough to pull one timing field out of a unified fault report.
-std::int64_t extract_i64(const std::string& json, const std::string& key) {
-  const auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return -999;
-  return std::stoll(json.substr(pos + key.size() + 3));
+// `key` of the first outage in a unified fault report, packet half first:
+// enough to pull one timing field out of a plan whose failed links all sit
+// on one side of the cut.
+std::int64_t first_outage(const std::string& report, const std::string& key) {
+  const JsonValue doc = parse_json(report);
+  for (const char* half : {"packet", "fluid"}) {
+    const JsonValue* side = doc.find(half);
+    const JsonValue* outages = side ? side->find("outages") : nullptr;
+    if (outages != nullptr && !outages->as_array().empty())
+      return outages->as_array()[0].find(key)->as_int();
+  }
+  ADD_FAILURE() << "no outage in fault report " << report;
+  return -1;
 }
 
 // The hybrid_test small cell (6x2 DRing, supernodes {0,1} hot) plus a
@@ -120,7 +128,11 @@ TEST(HybridFault, UnifiedReportSpansBothHalves) {
       r.fault_report.find("\"link\":" + std::to_string(c.internal_link)),
       std::string::npos)
       << r.fault_report;
-  EXPECT_GT(extract_i64(r.fault_report, "blackhole_seconds"), -999);
+  const JsonValue report = parse_json(r.fault_report);
+  ASSERT_NE(report.find("packet"), nullptr);
+  const JsonValue* blackhole = report.find("packet")->find("blackhole_seconds");
+  ASSERT_NE(blackhole, nullptr);
+  EXPECT_GE(blackhole->as_number(), 0.0);
 }
 
 TEST(HybridFault, ReportAndHashByteIdenticalAcrossIntraJobs) {
@@ -246,7 +258,7 @@ TEST(HybridFault, FluidBlackholeMatchesBfdTiming) {
       static_cast<Time>(cfg.fault.hold_count) * cfg.fault.hello_interval;
   EXPECT_NEAR(r.fluid_blackhole_seconds,
               units::to_seconds(hold + cfg.fault.repair_delay), 1e-12);
-  EXPECT_EQ(extract_i64(r.fault_report, "t_routed_out"),
+  EXPECT_EQ(first_outage(r.fault_report, "t_routed_out"),
             units::kMillisecond + hold + cfg.fault.repair_delay);
 }
 
@@ -274,7 +286,7 @@ TEST(HybridFault, GoodputRecoversAfterExternalFlap) {
   EXPECT_EQ(r.completed, specs.size());
   EXPECT_GT(r.goodput_recovery, 0.5);
   // Restored cycle: both routed-out and routed-in are recorded.
-  EXPECT_GT(extract_i64(r.fault_report, "t_routed_in"), 0);
+  EXPECT_GT(first_outage(r.fault_report, "t_routed_in"), 0);
 }
 
 // Whole-graph hot set: the identical plan runs entirely through packet BFD.
@@ -303,13 +315,13 @@ TEST(HybridFault, FluidOutageTimingAgreesWithPacketBfd) {
             std::string::npos);
 
   const std::int64_t fluid_out =
-      extract_i64(fluid_run.fault_report, "t_routed_out");
+      first_outage(fluid_run.fault_report, "t_routed_out");
   const std::int64_t packet_out =
-      extract_i64(packet_run.fault_report, "t_routed_out");
+      first_outage(packet_run.fault_report, "t_routed_out");
   const std::int64_t fluid_in =
-      extract_i64(fluid_run.fault_report, "t_routed_in");
+      first_outage(fluid_run.fault_report, "t_routed_in");
   const std::int64_t packet_in =
-      extract_i64(packet_run.fault_report, "t_routed_in");
+      first_outage(packet_run.fault_report, "t_routed_in");
   const auto tol =
       static_cast<std::int64_t>(2 * fault_cfg(1, spec).fault.hello_interval);
   EXPECT_GE(packet_out, fluid_out - tol);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <regex>
+#include <string>
 
 #include "topo/builders.h"
 
@@ -72,9 +72,9 @@ TEST(ConfigGen, PrependRouteMapsMatchCosts) {
   EXPECT_NE(cfg.find("route-map PREPEND_2 permit 10"), std::string::npos);
   EXPECT_NE(cfg.find("route-map PREPEND_3 permit 10"), std::string::npos);
   // PREPEND_3 prepends the AS twice (eBGP adds the third).
-  const std::regex two_prepends(
-      "route-map PREPEND_3 permit 10\\n set as-path prepend 64514 64514\\n");
-  EXPECT_TRUE(std::regex_search(cfg, two_prepends));
+  EXPECT_NE(cfg.find("route-map PREPEND_3 permit 10\n"
+                     " set as-path prepend 64514 64514\n"),
+            std::string::npos);
 }
 
 TEST(ConfigGen, PeerAddressesPairUpAcrossRouters) {
@@ -90,16 +90,28 @@ TEST(ConfigGen, PeerAddressesPairUpAcrossRouters) {
   const auto cfg1 = router_config(g, 1, opts);
   // Extract every 'ip address 172...' from cfg0 and find it as a neighbor
   // in cfg1, and vice versa.
-  const std::regex ip_re("ip address (172\\.[0-9.]+) 255.255.255.254");
+  const std::string prefix = "ip address ";
   for (const auto& [mine, theirs] :
        {std::pair{&cfg0, &cfg1}, std::pair{&cfg1, &cfg0}}) {
-    for (std::sregex_iterator it(mine->begin(), mine->end(), ip_re), end;
-         it != end; ++it) {
-      const std::string addr = (*it)[1];
+    int found = 0;
+    for (std::size_t pos = mine->find(prefix + "172.");
+         pos != std::string::npos;
+         pos = mine->find(prefix + "172.", pos + prefix.size())) {
+      // The address: "172." plus at least one more digit or dot, followed
+      // by the /31 netmask.
+      const std::size_t start = pos + prefix.size();
+      const std::size_t end =
+          mine->find_first_not_of("0123456789.", start + 4);
+      if (end == std::string::npos || end == start + 4 ||
+          mine->compare(end, 16, " 255.255.255.254") != 0)
+        continue;
+      ++found;
+      const std::string addr = mine->substr(start, end - start);
       EXPECT_NE(theirs->find("neighbor " + addr + " remote-as"),
                 std::string::npos)
           << addr << " not a neighbor on the peer";
     }
+    EXPECT_GT(found, 0);
   }
 }
 

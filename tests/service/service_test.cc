@@ -1,4 +1,4 @@
-// spinelessd serving-layer tests: JSON parsing, request canonicalization,
+// spinelessd serving-layer tests: request parsing and canonicalization,
 // warm-checkpoint identity (empty what-if == baseline), snapshot
 // restore determinism, the result cache, and the robustness ladder
 // (overload shedding, fluid degradation, queue-deadline sheds, drain).
@@ -16,12 +16,12 @@
 #include <gtest/gtest.h>
 
 #include "service/engine.h"
-#include "service/jsonin.h"
 #include "service/request.h"
 #include "service/warm_state.h"
 #include "util/error.h"
 #include "util/fsio.h"
 #include "util/hash.h"
+#include "util/json.h"
 
 namespace spineless::service {
 namespace {
@@ -67,45 +67,6 @@ struct Collector {
   std::vector<std::string> responses;
 };
 
-TEST(Jsonin, ParsesScalarsStringsAndNesting) {
-  const JsonValue v = parse_json(
-      R"({"a":1,"b":-2.5e2,"c":"x\"\nA","d":[true,false,null],"e":{"k":3}})");
-  ASSERT_TRUE(v.is_object());
-  EXPECT_EQ(v.find("a")->as_int(), 1);
-  EXPECT_DOUBLE_EQ(v.find("b")->as_number(), -250.0);
-  EXPECT_EQ(v.find("c")->as_string(), "x\"\nA");
-  ASSERT_TRUE(v.find("d")->is_array());
-  EXPECT_EQ(v.find("d")->as_array().size(), 3u);
-  EXPECT_TRUE(v.find("d")->as_array()[0].as_bool());
-  EXPECT_EQ(v.find("e")->find("k")->as_int(), 3);
-  EXPECT_EQ(v.find("missing"), nullptr);
-}
-
-TEST(Jsonin, RejectsMalformedInputWithBytePosition) {
-  const auto expect_error = [](const std::string& doc) {
-    try {
-      parse_json(doc);
-      FAIL() << "expected a parse error for: " << doc;
-    } catch (const Error& e) {
-      EXPECT_NE(std::string(e.what()).find("json:"), std::string::npos);
-      EXPECT_NE(std::string(e.what()).find("at byte"), std::string::npos);
-    }
-  };
-  expect_error("");
-  expect_error("{");
-  expect_error("{\"a\":}");
-  expect_error("{\"a\":1,}");
-  expect_error("[1 2]");
-  expect_error("{\"a\":01}");
-  expect_error("\"unterminated");
-  expect_error("{\"a\":1} trailing");
-  // Nesting is capped at 64: deeper input is a clean error, not a stack
-  // overflow (100k brackets used to segfault the recursive parser).
-  expect_error(std::string(100'000, '['));
-  expect_error(std::string(65, '[') + std::string(65, ']'));
-  EXPECT_NO_THROW(parse_json(std::string(64, '[') + std::string(64, ']')));
-}
-
 TEST(Request, ParsesAndCanonicalizes) {
   const Request r = parse_request(
       R"({"id":7,"kind":"whatif_fault","spec":"fail link=1 at=1ms",)"
@@ -124,6 +85,23 @@ TEST(Request, ParsesAndCanonicalizes) {
   // A canonical line reparses to the same body.
   const Request r3 = parse_request(canonical_request_line(r));
   EXPECT_EQ(canonical_request_body(r3), canonical_request_body(r));
+  // seed_salt is read exactly: 2^53+1 is not a double, and every salt up
+  // to 2^64-1 survives a canonical line's round trip.
+  EXPECT_EQ(
+      parse_request(R"({"id":1,"kind":"status","seed_salt":9007199254740993})")
+          .seed_salt,
+      9007199254740993ULL);
+  for (const std::uint64_t salt :
+       {std::uint64_t{9007199254740993ULL},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Request big = r;
+    big.seed_salt = salt;
+    const Request back = parse_request(canonical_request_line(big));
+    EXPECT_EQ(back.seed_salt, salt);
+    EXPECT_EQ(canonical_request_line(back), canonical_request_line(big));
+  }
+  EXPECT_EQ(parse_request(R"({"id":9007199254740993,"kind":"status"})").id,
+            9007199254740993LL);
 }
 
 TEST(Request, RejectsBadFields) {
@@ -145,6 +123,14 @@ TEST(Request, RejectsBadFields) {
                Error);
   EXPECT_EQ(parse_json("-9223372036854775808").as_int(),
             std::numeric_limits<std::int64_t>::min());
+  // A negative salt is an error, not a wrapped 2^64-1.
+  EXPECT_THROW(parse_request(R"({"id":1,"kind":"status","seed_salt":-1})"),
+               Error);
+  EXPECT_THROW(parse_request(
+                   R"({"id":1,"kind":"status","seed_salt":18446744073709551616})"),
+               Error);
+  EXPECT_THROW(parse_request(R"({"id":1,"kind":"status","seed_salt":1.5})"),
+               Error);
 }
 
 TEST(WarmState, EmptyWhatIfReproducesBaselineExactly) {
