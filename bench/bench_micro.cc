@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "ctrl/bgp.h"
 #include "flowsim/maxmin.h"
@@ -73,22 +75,44 @@ void BM_BgpConvergence(benchmark::State& state) {
 }
 BENCHMARK(BM_BgpConvergence)->Arg(5)->Arg(8)->Arg(12);
 
-void BM_MaxMinWaterFill(benchmark::State& state) {
+// Water-filling over random routes. `uncapped` and `capped` are the
+// classic small problem (500 resources, 4-hop routes); `hybrid` is shaped
+// like a flat-scale hybrid window: ~400k resources (2H + 2L on a
+// 20k-switch network) and ~350-hop routes. Capped cases give three flows
+// in five a boundary demand cap (1, 2.5 or 5 Gb/s), the rest +inf.
+struct WaterFillShape {
+  int resources;
+  int hops;
+  bool capped;
+};
+
+void BM_MaxMinWaterFill(benchmark::State& state, WaterFillShape shape) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  static constexpr double kDemand[] = {kInf, 1e9, kInf, 2.5e9, 5e9};
   Rng rng(1);
-  const int resources = 500;
-  std::vector<double> caps(resources, 10e9);
-  flowsim::MaxMinProblem problem(caps);
+  flowsim::MaxMinProblem problem(
+      std::vector<double>(static_cast<std::size_t>(shape.resources), 10e9));
+  std::vector<double> caps;
   for (int f = 0; f < static_cast<int>(state.range(0)); ++f) {
     std::vector<int> route;
-    for (int h = 0; h < 4; ++h)
-      route.push_back(static_cast<int>(rng.uniform(resources)));
-    problem.add_flow(std::move(route));
+    for (int h = 0; h < shape.hops; ++h)
+      route.push_back(static_cast<int>(
+          rng.uniform(static_cast<std::uint64_t>(shape.resources))));
+    problem.add_flow(route);
+    if (shape.capped) caps.push_back(kDemand[f % 5]);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(problem.solve());
+    benchmark::DoNotOptimize(problem.solve_capped(caps));
   }
 }
-BENCHMARK(BM_MaxMinWaterFill)->Arg(1000)->Arg(5000);
+BENCHMARK_CAPTURE(BM_MaxMinWaterFill, uncapped, WaterFillShape{500, 4, false})
+    ->Arg(1000)
+    ->Arg(5000);
+BENCHMARK_CAPTURE(BM_MaxMinWaterFill, capped, WaterFillShape{500, 4, true})
+    ->Arg(1000);
+BENCHMARK_CAPTURE(BM_MaxMinWaterFill, hybrid,
+                  WaterFillShape{400'000, 350, true})
+    ->Arg(200);
 
 // Random regular graph construction at the --scale=rng degree (16 network
 // ports per switch): the set-up cost of every flat RRG cell.

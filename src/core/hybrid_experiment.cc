@@ -181,7 +181,7 @@ struct FluidEvent {
 class HybridLoop : public sim::Checkpointable {
  public:
   HybridLoop(const HybridConfig& cfg, std::vector<double> capacities)
-      : cfg_(cfg), capacities_(std::move(capacities)) {}
+      : cfg_(cfg), problem_(std::move(capacities)) {}
 
   void add_fluid_flow(FluidFlowState s) {
     s.remaining = static_cast<double>(s.bytes);
@@ -540,7 +540,7 @@ class HybridLoop : public sim::Checkpointable {
  private:
   void solve(std::size_t num_active) {
     ++solves_;
-    flowsim::MaxMinProblem problem(capacities_);
+    problem_.clear_flows();
     std::vector<double> caps;
     caps.reserve(num_active);
     std::vector<std::size_t> added;
@@ -548,12 +548,12 @@ class HybridLoop : public sim::Checkpointable {
     for (std::size_t i = 0; i < fluid_.size(); ++i) {
       FluidFlowState& f = fluid_[i];
       if (!f.active || excluded(f)) continue;
-      problem.add_flow(f.resources);
+      problem_.add_flow(f.resources);
       caps.push_back(f.kind == FlowKind::kBoundary ? f.cap : kInf);
       added.push_back(i);
       f.cap_at_solve = f.cap;
     }
-    const std::vector<double> rates = problem.solve_capped(caps);
+    const std::vector<double> rates = problem_.solve_capped(caps);
     for (std::size_t k = 0; k < added.size(); ++k)
       fluid_[added[k]].rate = rates[k];
   }
@@ -592,8 +592,8 @@ class HybridLoop : public sim::Checkpointable {
   void apply_capacity(const FluidLinkState& s) {
     const double cap = (s.down ? 0.0 : base_link_rate_) * s.degrade_factor *
                        s.gray_factor;
-    capacities_[static_cast<std::size_t>(rs_->link(s.link, true))] = cap;
-    capacities_[static_cast<std::size_t>(rs_->link(s.link, false))] = cap;
+    problem_.set_capacity(rs_->link(s.link, true), cap);
+    problem_.set_capacity(rs_->link(s.link, false), cap);
   }
 
   void stall(FluidFlowState& f, Time at) {
@@ -830,7 +830,9 @@ class HybridLoop : public sim::Checkpointable {
   }
 
   const HybridConfig& cfg_;
-  std::vector<double> capacities_;
+  // Every fluid resource's capacity (apply_capacity writes fault effects);
+  // each solve refills its flows.
+  flowsim::MaxMinProblem problem_;
   std::vector<FluidFlowState> fluid_;
   std::vector<std::unique_ptr<sim::BoundarySource>> sources_;
   std::vector<std::unique_ptr<sim::BoundarySink>> sinks_;

@@ -4,14 +4,13 @@
 #include <cmath>
 #include <limits>
 
-#include "flowsim/maxmin.h"
 #include "util/error.h"
 
 namespace spineless::flowsim {
 
 FlowLevelSimulator::FlowLevelSimulator(const Graph& g, double link_rate_bps)
     : layout_(g),
-      capacities_(layout_.capacities(link_rate_bps, link_rate_bps)) {
+      problem_(layout_.capacities(link_rate_bps, link_rate_bps)) {
   SPINELESS_CHECK(link_rate_bps > 0);
 }
 
@@ -28,11 +27,10 @@ int FlowLevelSimulator::add_flow(HostId src, HostId dst, std::int64_t bytes,
   return static_cast<int>(results_.size()) - 1;
 }
 
-void FlowLevelSimulator::recompute_rates(
-    std::vector<ActiveFlow>& active) const {
-  MaxMinProblem problem(capacities_);
-  for (const ActiveFlow& f : active) problem.add_flow(resources_[f.id]);
-  const std::vector<double> rates = problem.solve();
+void FlowLevelSimulator::recompute_rates(std::vector<ActiveFlow>& active) {
+  problem_.clear_flows();
+  for (const ActiveFlow& f : active) problem_.add_flow(resources_[f.id]);
+  const std::vector<double> rates = problem_.solve();
   for (std::size_t i = 0; i < active.size(); ++i) active[i].rate = rates[i];
 }
 

@@ -1,7 +1,8 @@
 // Event-driven flow-level simulation: flows arrive, share the fabric at
 // max-min fair rates, and depart when their bytes drain. Rates are
 // recomputed at every arrival/departure (the standard fluid FCT model) by
-// one MaxMinProblem over the active flows, on the shared resource layout.
+// one reused MaxMinProblem over the active flows, on the shared resource
+// layout.
 // Orders of magnitude faster than the packet simulator at the cost of
 // abstracting away queues, RTTs, and loss — tests/flowsim cross-validate
 // it against packet-level TCP on shared-bottleneck scenarios.
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "flowsim/maxmin.h"
 #include "flowsim/resources.h"
 #include "util/stats.h"
 #include "util/units.h"
@@ -50,11 +52,11 @@ class FlowLevelSimulator {
     double rate = 0;
   };
 
-  // Max-min fair rates of the active flows (MaxMinProblem::solve).
-  void recompute_rates(std::vector<ActiveFlow>& active) const;
+  // Max-min fair rates of the active flows, refilling problem_.
+  void recompute_rates(std::vector<ActiveFlow>& active);
 
   ResourceLayout layout_;
-  std::vector<double> capacities_;  // per resource of layout_
+  MaxMinProblem problem_;  // over layout_'s resources, reused by every solve
   std::vector<FlowResult> results_;
   std::vector<std::vector<int>> resources_;  // per flow
 };

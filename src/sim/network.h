@@ -84,7 +84,7 @@ struct NetworkConfig {
   // switch count.
   int intra_jobs = 1;
   // OS threads backing the sharded engine's reactors. 0 = auto:
-  // min(shards, hardware_concurrency), so on a single-core host all shard
+  // min(shards, util::usable_cores()), so with one usable CPU all shard
   // pollers multiplex cooperatively onto the calling thread and the engine
   // pays no context switches. N > 0 forces exactly N reactors (clamped to
   // the shard count) — the TSAN determinism tests force one thread per
@@ -93,7 +93,8 @@ struct NetworkConfig {
   // part of the experiment configuration hash.
   int reactor_threads = 0;
   // Pin each reactor thread to a core (pthread_setaffinity_np, reactor r ->
-  // core r mod hardware_concurrency) when the host has more than one core.
+  // the (r mod n)-th of the n CPUs in the caller's affinity mask) when n > 1.
+  // The calling thread, reactor 0, gets its mask back with the engine.
   // Pure scheduling hint: results are byte-identical pinned or not, so like
   // reactor_threads it stays outside the experiment configuration hash.
   bool pin_reactors = false;

@@ -26,32 +26,24 @@ constexpr std::size_t kMaxRingCapacity = 65536;
 constexpr int kSpinPasses = 64;
 
 int resolve_reactors(int requested, int shards) {
-  int r = requested;
-  if (r <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    r = hw == 0 ? 1 : static_cast<int>(hw);
-  }
+  int r = requested <= 0 ? util::usable_cores() : requested;
   if (r > shards) r = shards;
   if (r < 1) r = 1;
   return r;
 }
 
-// Best-effort reactor->core pinning (NetworkConfig::pin_reactors). Purely a
-// performance hint: affinity never reaches event order, so pinned and
-// unpinned runs are byte-identical. No-op off Linux or on 1-core hosts.
-void pin_to_core(std::thread::native_handle_type handle, int reactor) {
 #if defined(__linux__)
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw <= 1) return;
+// Best-effort thread affinity (NetworkConfig::pin_reactors). Purely a
+// performance hint: affinity never reaches event order, so pinned and
+// unpinned runs are byte-identical.
+void set_affinity(std::thread::native_handle_type handle,
+                  const std::vector<int>& cpus) {
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(reactor) % hw, &set);
-  pthread_setaffinity_np(handle, sizeof(set), &set);  // failure = unpinned
-#else
-  (void)handle;
-  (void)reactor;
-#endif
+  for (int c : cpus) CPU_SET(static_cast<unsigned>(c), &set);
+  pthread_setaffinity_np(handle, sizeof(set), &set);  // failure = unchanged
 }
+#endif
 
 }  // namespace
 
@@ -93,14 +85,22 @@ ShardedEngine::ShardedEngine(Network& net)
   threads_.reserve(static_cast<std::size_t>(num_reactors_ - 1));
   for (int r = 1; r < num_reactors_; ++r)
     threads_.emplace_back([this, r] { worker_main(r); });
-  if (net.config().pin_reactors) {
 #if defined(__linux__)
-    pin_to_core(pthread_self(), /*reactor=*/0);  // reactor 0 is the caller
-#endif
-    for (int r = 1; r < num_reactors_; ++r)
-      pin_to_core(threads_[static_cast<std::size_t>(r - 1)].native_handle(),
-                  r);
+  // Reactor r runs on the r-th CPU the caller may use (wrapping). Reactor 0
+  // is the caller, which gets its mask back when the engine goes. No-op
+  // with one usable CPU.
+  if (net.config().pin_reactors) {
+    const std::vector<int> cpus = util::usable_cpus();
+    if (cpus.size() > 1) {
+      caller_ = pthread_self();
+      caller_cpus_ = cpus;
+      set_affinity(caller_, {cpus[0]});
+      for (int r = 1; r < num_reactors_; ++r)
+        set_affinity(threads_[static_cast<std::size_t>(r - 1)].native_handle(),
+                     {cpus[static_cast<std::size_t>(r) % cpus.size()]});
+    }
   }
+#endif
 }
 
 ShardedEngine::~ShardedEngine() {
@@ -108,6 +108,9 @@ ShardedEngine::~ShardedEngine() {
   run_gen_.fetch_add(1, std::memory_order_acq_rel);
   run_gen_.notify_all();
   for (std::thread& t : threads_) t.join();
+#if defined(__linux__)
+  if (!caller_cpus_.empty()) set_affinity(caller_, caller_cpus_);
+#endif
 }
 
 void ShardedEngine::post(std::int32_t src_shard, std::int32_t dst_shard,

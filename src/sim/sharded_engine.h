@@ -342,6 +342,10 @@ class ShardedEngine : public ShardRouter {
   std::atomic<int> done_count_{0};
   std::atomic<bool> quit_{false};
   std::vector<std::thread> threads_;
+  // With pin_reactors: the constructing thread and its CPU mask before
+  // pinning, restored by the destructor. Empty = nothing pinned.
+  std::thread::native_handle_type caller_{};
+  std::vector<int> caller_cpus_;
 };
 
 }  // namespace spineless::sim

@@ -1,6 +1,11 @@
 #include "util/runner.h"
 
+#include <algorithm>
 #include <cstdlib>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace spineless::util {
 namespace {
@@ -18,13 +23,32 @@ int clamp_jobs(int jobs, Runner::Nested nested) {
 
 }  // namespace
 
+std::vector<int> usable_cpus() {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c)
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+  }
+#endif
+  if (cpus.empty()) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    for (unsigned c = 0; c < std::max(hw, 1u); ++c)
+      cpus.push_back(static_cast<int>(c));
+  }
+  return cpus;
+}
+
+int usable_cores() { return static_cast<int>(usable_cpus().size()); }
+
 int default_jobs() {
   if (const char* env = std::getenv("SPINELESS_JOBS")) {
     const int n = std::atoi(env);
     if (n > 0) return n;
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return usable_cores();
 }
 
 bool in_parallel_region() { return tl_parallel_depth > 0; }

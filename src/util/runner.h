@@ -38,8 +38,18 @@ constexpr std::uint64_t derive_cell_seed(std::uint64_t base_seed,
   return splitmix64(base_seed ^ (cell_index * 0x9e3779b97f4a7c15ULL));
 }
 
+// The CPUs the calling thread may run on, ascending: its sched_getaffinity
+// mask on Linux, else (or when the mask cannot be read) 0 ..
+// hardware_concurrency() - 1. Never empty.
+std::vector<int> usable_cpus();
+
+// usable_cpus().size(): how many threads can run at once. Under
+// `taskset -c 0` this is 1 however many cores the host has, where
+// hardware_concurrency() counts them all.
+int usable_cores();
+
 // Default worker count: SPINELESS_JOBS if set (and positive), otherwise
-// std::thread::hardware_concurrency().
+// usable_cores().
 int default_jobs();
 
 // True while the calling thread is inside a parallel region (a Runner

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/fct_experiment.h"
@@ -19,6 +25,32 @@ TEST(Runner, MapReturnsResultsInIndexOrder) {
   const auto out = runner.map(100, [](std::size_t i) { return 3 * i + 1; });
   ASSERT_EQ(out.size(), 100u);
   for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 3 * i + 1);
+}
+
+// Thread counts follow the CPUs the calling thread may use, not the
+// host's core count: a thread pinned to one CPU sees exactly that CPU.
+TEST(Runner, UsableCoresFollowTheAffinityMask) {
+  const std::vector<int> cpus = util::usable_cpus();
+  ASSERT_FALSE(cpus.empty());
+  EXPECT_EQ(util::usable_cores(), static_cast<int>(cpus.size()));
+#if defined(__linux__)
+  bool pinned = false;
+  std::vector<int> seen;
+  int seen_cores = 0;
+  std::thread t([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    CPU_SET(static_cast<unsigned>(cpus.back()), &set);
+    pinned = pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+    seen = util::usable_cpus();
+    seen_cores = util::usable_cores();
+  });
+  t.join();
+  if (!pinned) GTEST_SKIP() << "thread affinity cannot be set here";
+  EXPECT_EQ(seen, std::vector<int>{cpus.back()});
+  EXPECT_EQ(seen_cores, 1);
+  EXPECT_EQ(util::usable_cpus(), cpus);  // the caller's mask is its own
+#endif
 }
 
 TEST(Runner, SingleJobRunsInline) {

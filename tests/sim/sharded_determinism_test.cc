@@ -12,6 +12,7 @@
 #include "sim/sharded_engine.h"
 #include "sim/tcp.h"
 #include "topo/builders.h"
+#include "util/runner.h"
 #include "workload/tm.h"
 
 namespace spineless::sim {
@@ -210,6 +211,27 @@ TEST(ShardedDeterminism, FailureInterleaveWithForcedReactorThreads) {
     EXPECT_EQ(serial.samples[i].total_bytes, threaded.samples[i].total_bytes);
     EXPECT_EQ(serial.samples[i].max_bytes, threaded.samples[i].max_bytes);
   }
+}
+
+// Pinning reactors pins the calling thread as reactor 0 only while the
+// engine lives: afterwards the caller's own mask, and so every later
+// usable_cores() sizing on it, is back.
+TEST(ShardedDeterminism, PinnedReactorsReturnTheCallersMask) {
+  const std::vector<int> before = util::usable_cpus();
+  {
+    const auto g = topo::make_leaf_spine(4, 2);
+    NetworkConfig cfg;
+    cfg.intra_jobs = 3;
+    cfg.reactor_threads = 3;
+    cfg.pin_reactors = true;
+    Network net(g, cfg);
+    FlowDriver driver(net, TcpConfig{});
+    ShardedEngine engine(net);
+    driver.add_flow(engine.control(), 0, g.total_servers() - 1, 100'000, 0);
+    engine.run_until(10 * units::kMillisecond);
+    EXPECT_TRUE(driver.flow(0).record().finish >= 0);
+  }
+  EXPECT_EQ(util::usable_cpus(), before);
 }
 
 // Repeated run_until calls on the engine (the incremental-deadline pattern
