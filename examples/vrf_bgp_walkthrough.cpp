@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
 
   // The paper: "the routing configurations at each router can be generated
   // by a simple script to avoid errors". Here is router 0's, ready for an
-  // emulator; full_deployment_config() emits all of them.
+  // emulator; router_config() emits any router's.
   ctrl::ConfigGenOptions opts;
   opts.k = k;
   std::printf("\n--- generated configuration for r0 (excerpt) ---\n");

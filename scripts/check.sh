@@ -39,6 +39,12 @@ echo "== static checks (spineless_lint) =="
   --baseline=tools/lint/lint_baseline.txt
 ctest --test-dir build -L lint --output-on-failure
 
+echo "== unreached library code =="
+# Every src/ function that no bench, example, spinelessd or perfbench
+# binary reaches must be an allowlisted test oracle, with its reason, in
+# scripts/unreached_allow.txt (-O0 builds in build-unreached*/).
+bash scripts/unreached.sh
+
 echo "== perf smoke (reactor-engine overhead) =="
 # The sharded reactor engine must stay within 10% of the serial engine on
 # one core at intra_jobs=2 (the ROADMAP steady-state target is 5%; the

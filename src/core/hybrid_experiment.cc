@@ -55,12 +55,25 @@ struct FlowPlan {
   std::int32_t exit_cut = -1;
 };
 
+// Index of `l` in the sorted cut, or -1 when `l` is not a cut link.
 int cut_index_of(const topo::RegionCut& cut, topo::LinkId l) {
   const auto it = std::lower_bound(
       cut.cut.begin(), cut.cut.end(), l,
       [](const topo::CutLink& c, topo::LinkId id) { return c.link < id; });
-  SPINELESS_CHECK(it != cut.cut.end() && it->link == l);
+  if (it == cut.cut.end() || it->link != l) return -1;
   return static_cast<int>(it - cut.cut.begin());
+}
+
+// Phase key of a boundary flow's packet source: the run seed, the cut link
+// it crosses, its flow index and its re-pin generation (0 until the first
+// re-pin, where the generation term drops out).
+std::uint64_t boundary_phase_key(std::uint64_t seed, topo::LinkId link,
+                                 std::size_t spec, std::uint32_t generation) {
+  return splitmix64(
+      splitmix64(seed ^ kBoundarySalt) ^
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(link)) << 32) ^
+      static_cast<std::uint64_t>(spec) ^
+      (static_cast<std::uint64_t>(generation) << 48));
 }
 
 FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
@@ -96,6 +109,7 @@ FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
   } else {
     const topo::LinkId entry = g.link_between(path[i0 - 1], path[i0]);
     plan.entry_cut = cut_index_of(cut, entry);
+    SPINELESS_CHECK(plan.entry_cut >= 0);
     plan.pkt_src = rg.gateway_host[static_cast<std::size_t>(plan.entry_cut)];
     plan.boundary_link = entry;
     // Fluid half upstream of the region: src NIC + every edge strictly
@@ -109,6 +123,7 @@ FlowPlan classify_flow(const topo::Graph& g, const topo::RegionCut& cut,
   } else {
     const topo::LinkId exit = g.link_between(path[j0], path[j0 + 1]);
     plan.exit_cut = cut_index_of(cut, exit);
+    SPINELESS_CHECK(plan.exit_cut >= 0);
     plan.pkt_dst = rg.gateway_host[static_cast<std::size_t>(plan.exit_cut)];
     if (plan.boundary_link == topo::kInvalidLink) plan.boundary_link = exit;
     // Fluid half downstream: every edge strictly after the exit cut link
@@ -688,12 +703,8 @@ class HybridLoop : public sim::Checkpointable {
     ++f.generation;
     const topo::LinkId new_link =
         cut_->cut[static_cast<std::size_t>(pick)].link;
-    const std::uint64_t phase_key = splitmix64(
-        splitmix64(seed_ ^ kBoundarySalt) ^
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(new_link))
-         << 32) ^
-        static_cast<std::uint64_t>(f.spec) ^
-        (static_cast<std::uint64_t>(f.generation) << 48));
+    const std::uint64_t phase_key =
+        boundary_phase_key(seed_, new_link, f.spec, f.generation);
     const topo::HostId gw =
         rg_->gateway_host[static_cast<std::size_t>(pick)];
     sim::BoundarySource& src = *sources_[static_cast<std::size_t>(f.boundary)];
@@ -710,8 +721,8 @@ class HybridLoop : public sim::Checkpointable {
   // carried (future flows included — their pre-built routes die with it).
   void route_out(const FluidEvent& e) {
     if (e.boundary) {
-      const std::int32_t c =
-          static_cast<std::int32_t>(cut_index_of(*cut_, e.link));
+      const std::int32_t c = cut_index_of(*cut_, e.link);
+      SPINELESS_CHECK(c >= 0);
       for (std::size_t i = 0; i < fluid_.size(); ++i) {
         FluidFlowState& f = fluid_[i];
         if (f.done || f.kind != FlowKind::kBoundary) continue;
@@ -998,12 +1009,6 @@ HybridResult run_hybrid_experiment_flows(
         static_cast<Time>(cfg.fault.hold_count) * cfg.fault.hello_interval;
     std::vector<fault::FaultAction> region_actions;
     first_fault = std::numeric_limits<Time>::max();
-    const auto is_cut = [&](topo::LinkId l) {
-      const auto it = std::lower_bound(
-          cut.cut.begin(), cut.cut.end(), l,
-          [](const topo::CutLink& c, topo::LinkId id) { return c.link < id; });
-      return it != cut.cut.end() && it->link == l;
-    };
     using K = fault::FaultAction::Kind;
     for (const fault::FaultAction& a : full_plan.actions()) {
       // Whole-plan goodput-recovery bounds: when a fault first degrades
@@ -1025,7 +1030,7 @@ HybridResult run_hybrid_experiment_flows(
         region_actions.push_back(ra);
         continue;
       }
-      const bool boundary = is_cut(a.link);
+      const bool boundary = cut_index_of(cut, a.link) >= 0;
       switch (a.kind) {
         case K::kLinkDown:
           fluid_events.push_back(
@@ -1130,15 +1135,10 @@ HybridResult run_hybrid_experiment_flows(
     if (plans[i].kind == FlowKind::kBoundary) {
       state.boundary = loop.num_boundaries();
       auto sink = std::make_unique<sim::BoundarySink>(f.bytes);
-      const std::uint64_t phase_key = splitmix64(
-          splitmix64(cfg.fct.seed ^ kBoundarySalt) ^
-          (static_cast<std::uint64_t>(
-               static_cast<std::uint32_t>(plans[i].boundary_link))
-           << 32) ^
-          static_cast<std::uint64_t>(i));
       auto src = std::make_unique<sim::BoundarySource>(
           net, next_flow_id++, plans[i].pkt_src, plans[i].pkt_dst,
-          sink.get(), phase_key);
+          sink.get(),
+          boundary_phase_key(cfg.fct.seed, plans[i].boundary_link, i, 0));
       loop.add_boundary(std::move(src), std::move(sink));
       ++result.boundary_flows;
     } else {
@@ -1234,45 +1234,15 @@ HybridResult run_hybrid_experiment_flows(
         region_link_to_full[static_cast<std::size_t>(rg.link_to_region[l])] =
             static_cast<topo::LinkId>(l);
     }
+    fault::FaultInjector::Report packet = injector->report(deadline);
+    for (fault::FaultInjector::Outage& o : packet.outages)
+      o.link = region_link_to_full[static_cast<std::size_t>(o.link)];
+    for (fault::FaultInjector::GrayWindow& gw : packet.gray_windows)
+      gw.link = region_link_to_full[static_cast<std::size_t>(gw.link)];
     JsonWriter jw;
     jw.begin_object();
     jw.key("packet");
-    jw.begin_object();
-    {
-      const fault::FaultInjector::Report pr = injector->report(deadline);
-      jw.kv("blackhole_seconds", pr.blackhole_seconds);
-      jw.kv("undetected_gray_windows", pr.undetected_gray_windows);
-      jw.key("outages");
-      jw.begin_array();
-      for (const fault::FaultInjector::Outage& o : pr.outages) {
-        jw.begin_object();
-        jw.kv("link", static_cast<std::int64_t>(
-                          region_link_to_full[static_cast<std::size_t>(
-                              o.link)]));
-        jw.kv("t_down", static_cast<std::int64_t>(o.t_down));
-        jw.kv("t_detected", static_cast<std::int64_t>(o.t_detected));
-        jw.kv("t_routed_out", static_cast<std::int64_t>(o.t_routed_out));
-        jw.kv("t_restored", static_cast<std::int64_t>(o.t_restored));
-        jw.kv("t_up_detected", static_cast<std::int64_t>(o.t_up_detected));
-        jw.kv("t_routed_in", static_cast<std::int64_t>(o.t_routed_in));
-        jw.end_object();
-      }
-      jw.end_array();
-      jw.key("gray_windows");
-      jw.begin_array();
-      for (const fault::FaultInjector::GrayWindow& gw : pr.gray_windows) {
-        jw.begin_object();
-        jw.kv("link", static_cast<std::int64_t>(
-                          region_link_to_full[static_cast<std::size_t>(
-                              gw.link)]));
-        jw.kv("from", static_cast<std::int64_t>(gw.from));
-        jw.kv("until", static_cast<std::int64_t>(gw.until));
-        jw.kv("detected", gw.detected);
-        jw.end_object();
-      }
-      jw.end_array();
-    }
-    jw.end_object();
+    packet.write_json(jw);
     jw.key("fluid");
     jw.begin_object();
     jw.kv("blackhole_seconds", totals.blackhole_seconds);

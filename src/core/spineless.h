@@ -19,7 +19,6 @@
 #include "core/udf_report.h"
 #include "ctrl/bgp.h"
 #include "ctrl/config_gen.h"
-#include "ctrl/ospf.h"
 #include "flowsim/fluid_network.h"
 #include "flowsim/maxmin.h"
 #include "routing/disjoint.h"
@@ -42,6 +41,5 @@
 #include "topo/graph.h"
 #include "workload/cs_model.h"
 #include "workload/incast.h"
-#include "workload/io.h"
 #include "workload/flows.h"
 #include "workload/tm.h"

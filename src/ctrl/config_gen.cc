@@ -154,16 +154,4 @@ std::string router_config(const Graph& g, NodeId router,
   return os.str();
 }
 
-std::string full_deployment_config(const Graph& g,
-                                   const ConfigGenOptions& opts) {
-  std::ostringstream os;
-  os << "! Shortest-Union(" << opts.k << ") BGP+VRF deployment for '"
-     << g.name() << "' — " << g.num_switches() << " routers, "
-     << g.num_links() << " links. Generated; do not hand-edit.\n!\n";
-  for (NodeId r = 0; r < g.num_switches(); ++r) {
-    os << "!========== r" << r << " ==========\n" << router_config(g, r, opts);
-  }
-  return os.str();
-}
-
 }  // namespace spineless::ctrl

@@ -33,9 +33,4 @@ struct ConfigGenOptions {
 std::string router_config(const topo::Graph& g, topo::NodeId router,
                           const ConfigGenOptions& opts = {});
 
-// Concatenated configs for every router, separated by banner comments —
-// what you would paste into the emulator (the paper used GNS3).
-std::string full_deployment_config(const topo::Graph& g,
-                                   const ConfigGenOptions& opts = {});
-
 }  // namespace spineless::ctrl

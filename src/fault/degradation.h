@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -39,6 +38,8 @@ class DegradationMonitor : public sim::EventSink, public sim::Checkpointable {
     std::int64_t gray_drops = 0;
     std::int64_t corrupt_drops = 0;
     std::int64_t no_route_drops = 0;
+
+    bool operator==(const Sample&) const = default;
   };
 
   DegradationMonitor(sim::Network& net, Time interval);
@@ -66,11 +67,6 @@ class DegradationMonitor : public sim::EventSink, public sim::Checkpointable {
   // Flows that hit at least one RTO but still completed — rescued by the
   // retransmission timer rather than fast recovery.
   static std::size_t flows_rescued_by_rto(const sim::FlowDriver& driver);
-
-  // "t_ps,delivered_bytes,blackhole,gray,corrupt,no_route" per line.
-  std::string to_csv() const;
-  // Timeline as JSON (no wall times: byte-identical serial vs. sharded).
-  std::string to_json() const;
 
  private:
   sim::Network& net_;

@@ -59,19 +59,24 @@ const std::string& require(const std::map<std::string, std::string>& kv,
 
 double parse_real(const std::string& s) {
   std::size_t used = 0;
-  const double v = std::stod(s, &used);
-  SPINELESS_CHECK_MSG(used == s.size(),
+  double v = 0;
+  try {
+    v = std::stod(s, &used);
+  } catch (const std::exception&) {
+    throw Error("FaultPlan: bad number '" + s + "'");
+  }
+  SPINELESS_CHECK_MSG(used == s.size() && std::isfinite(v),
                       "FaultPlan: bad number '" + s + "'");
   return v;
 }
 
-topo::LinkId parse_link(const std::string& s, const topo::Graph& g) {
+// A link or node id in [0, count): range-checked as a double, so no
+// out-of-range value reaches the integer cast.
+int parse_id(const std::string& s, int count, const std::string& what) {
   const double v = parse_real(s);
-  const auto l = static_cast<topo::LinkId>(v);
-  SPINELESS_CHECK_MSG(static_cast<double>(l) == v && l >= 0 &&
-                          l < g.num_links(),
-                      "FaultPlan: link id out of range: " + s);
-  return l;
+  SPINELESS_CHECK_MSG(v >= 0 && v < count && v == std::floor(v),
+                      "FaultPlan: " + what + " id out of range: " + s);
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -97,8 +102,13 @@ Time parse_time(const std::string& s) {
   } else {
     throw Error("FaultPlan: time '" + s + "' needs an ns/us/ms/s suffix");
   }
+  SPINELESS_CHECK_MSG(std::isfinite(v), "FaultPlan: bad time '" + s + "'");
   SPINELESS_CHECK_MSG(v >= 0, "FaultPlan: negative time '" + s + "'");
-  return static_cast<Time>(std::llround(v * static_cast<double>(mult)));
+  // 2^63 is one past the largest Time.
+  const double scaled = v * static_cast<double>(mult);
+  SPINELESS_CHECK_MSG(scaled < 0x1p63,
+                      "FaultPlan: time out of range '" + s + "'");
+  return static_cast<Time>(std::llround(scaled));
 }
 
 namespace {
@@ -177,19 +187,17 @@ FaultPlan FaultPlan::parse(const std::string& spec, const topo::Graph& g,
       }
     };
     if (kind == "flap") {
-      flap_links({parse_link(require(kv, "link", clause), g)});
+      flap_links(
+          {parse_id(require(kv, "link", clause), g.num_links(), "link")});
     } else if (kind == "fail") {
       const Time at = parse_time(require(kv, "at", clause));
-      const topo::LinkId l = parse_link(require(kv, "link", clause), g);
+      const topo::LinkId l =
+          parse_id(require(kv, "link", clause), g.num_links(), "link");
       plan.actions_.push_back({FaultAction::Kind::kLinkDown, at, l});
       note(l, 0, at, kForever);
     } else if (kind == "switch") {
-      const double nv = parse_real(require(kv, "node", clause));
-      const auto node = static_cast<topo::NodeId>(nv);
-      SPINELESS_CHECK_MSG(static_cast<double>(node) == nv && node >= 0 &&
-                              node < g.num_switches(),
-                          "FaultPlan: node id out of range in '" + clause +
-                              "'");
+      const topo::NodeId node =
+          parse_id(require(kv, "node", clause), g.num_switches(), "node");
       std::vector<topo::LinkId> incident;
       for (const topo::Port& p : g.neighbors(node))
         incident.push_back(p.link);
@@ -197,7 +205,8 @@ FaultPlan FaultPlan::parse(const std::string& spec, const topo::Graph& g,
                           "FaultPlan: switch clause on isolated node");
       flap_links(incident);
     } else if (kind == "gray") {
-      const topo::LinkId l = parse_link(require(kv, "link", clause), g);
+      const topo::LinkId l =
+          parse_id(require(kv, "link", clause), g.num_links(), "link");
       FaultAction on{FaultAction::Kind::kGrayOn,
                      parse_time(require(kv, "from", clause)), l};
       on.drop_prob = parse_real(require(kv, "drop", clause));
@@ -220,7 +229,8 @@ FaultPlan FaultPlan::parse(const std::string& spec, const topo::Graph& g,
       }
       note(l, 1, on.at, gray_end);
     } else if (kind == "degrade") {
-      const topo::LinkId l = parse_link(require(kv, "link", clause), g);
+      const topo::LinkId l =
+          parse_id(require(kv, "link", clause), g.num_links(), "link");
       FaultAction on{FaultAction::Kind::kDegradeOn,
                      parse_time(require(kv, "from", clause)), l};
       on.rate_factor = parse_real(require(kv, "rate", clause));

@@ -352,15 +352,13 @@ FaultInjector::Report FaultInjector::report(Time end) const {
   return r;
 }
 
-std::string FaultInjector::report_json(Time end) const {
-  const Report r = report(end);
-  JsonWriter w;
+void FaultInjector::Report::write_json(JsonWriter& w) const {
   w.begin_object();
-  w.kv("blackhole_seconds", r.blackhole_seconds);
-  w.kv("undetected_gray_windows", r.undetected_gray_windows);
+  w.kv("blackhole_seconds", blackhole_seconds);
+  w.kv("undetected_gray_windows", undetected_gray_windows);
   w.key("outages");
   w.begin_array();
-  for (const Outage& o : r.outages) {
+  for (const Outage& o : outages) {
     w.begin_object();
     w.kv("link", static_cast<std::int64_t>(o.link));
     w.kv("t_down", static_cast<std::int64_t>(o.t_down));
@@ -374,7 +372,7 @@ std::string FaultInjector::report_json(Time end) const {
   w.end_array();
   w.key("gray_windows");
   w.begin_array();
-  for (const GrayWindow& g : r.gray_windows) {
+  for (const GrayWindow& g : gray_windows) {
     w.begin_object();
     w.kv("link", static_cast<std::int64_t>(g.link));
     w.kv("from", static_cast<std::int64_t>(g.from));
@@ -384,7 +382,6 @@ std::string FaultInjector::report_json(Time end) const {
   }
   w.end_array();
   w.end_object();
-  return w.str();
 }
 
 }  // namespace spineless::fault

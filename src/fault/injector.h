@@ -32,6 +32,10 @@
 #include "sim/network.h"
 #include "sim/simulator.h"
 
+namespace spineless {
+class JsonWriter;
+}
+
 namespace spineless::fault {
 
 using sim::Network;
@@ -97,6 +101,7 @@ class FaultInjector : public sim::EventSink,
     Time t_restored = -1;    // physical recovery
     Time t_up_detected = -1;   // first valid hello after routed-out
     Time t_routed_in = -1;     // link back in the tables
+    bool operator==(const Outage&) const = default;
   };
 
   struct GrayWindow {
@@ -104,6 +109,7 @@ class FaultInjector : public sim::EventSink,
     Time from = 0;
     Time until = -1;        // -1: still active at report time
     bool detected = false;  // BFD tripped during the window
+    bool operator==(const GrayWindow&) const = default;
   };
 
   struct Report {
@@ -114,12 +120,14 @@ class FaultInjector : public sim::EventSink,
     // min(t_routed_out, t_restored, end) - t_down.
     double blackhole_seconds = 0;
     int undetected_gray_windows = 0;
+    bool operator==(const Report&) const = default;
+
+    // Writes the report as one JSON object. It holds no wall-clock times,
+    // so serial and sharded runs of the same plan write identical bytes.
+    void write_json(JsonWriter& w) const;
   };
   // `end`: horizon for still-open windows (normally the run deadline).
   Report report(Time end) const;
-  // The report as JSON — contains no wall-clock times, so serial and
-  // sharded runs of the same plan produce byte-identical strings.
-  std::string report_json(Time end) const;
 
   const FaultInjectorConfig& config() const noexcept { return cfg_; }
   Time hold_time() const noexcept {

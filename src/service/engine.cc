@@ -294,11 +294,6 @@ void Engine::stop() {
     if (t.joinable()) t.join();
 }
 
-bool Engine::draining() const {
-  std::lock_guard<std::mutex> l(mu_);
-  return draining_;
-}
-
 std::size_t Engine::queue_depth() const {
   std::lock_guard<std::mutex> l(mu_);
   return queue_.size();

@@ -88,7 +88,6 @@ class Engine {
   void begin_drain();
   void stop();
 
-  bool draining() const;
   std::size_t queue_depth() const;
   EngineStats stats() const;
   const WarmState& warm() const noexcept { return warm_; }

@@ -510,29 +510,6 @@ std::vector<std::int64_t> Network::queue_occupancy() const {
   return occ;
 }
 
-std::vector<double> Network::link_utilization(Time elapsed) const {
-  SPINELESS_CHECK(elapsed > 0);
-  std::vector<double> util;
-  util.reserve(net_links_.size());
-  const double capacity_bytes = static_cast<double>(cfg_.link_rate_bps) / 8.0 *
-                                units::to_seconds(elapsed);
-  for (const Link& l : net_links_)
-    util.push_back(static_cast<double>(l.stats().bytes_tx) / capacity_bytes);
-  return util;
-}
-
-Network::UtilizationStats Network::utilization_stats(Time elapsed) const {
-  const auto util = link_utilization(elapsed);
-  UtilizationStats s;
-  if (util.empty()) return s;
-  Summary summary;
-  for (double u : util) summary.add(u);
-  s.mean = summary.mean();
-  s.max = summary.max();
-  s.p99 = summary.p99();
-  return s;
-}
-
 void Network::FlowletTable::save_state(SnapshotWriter& w) const {
   w.u64(slots_.size());
   w.u64(size_);

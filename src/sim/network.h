@@ -25,7 +25,6 @@
 #include "topo/graph.h"
 #include "util/rng.h"
 #include "util/runner.h"
-#include "util/stats.h"
 
 namespace spineless::sim {
 
@@ -257,8 +256,9 @@ class Network {
   // the destination ToR once the packet got there.
   routing::Path traced_path(std::int32_t flow_id) const;
 
-  // Instantaneous queued bytes per directed switch-switch link (same
-  // indexing as link_utilization). Sampled by sim::QueueMonitor.
+  // Instantaneous queued bytes per directed switch-switch link: index
+  // 2l = a->b of topology link l, 2l+1 = b->a. Sampled by
+  // sim::QueueMonitor.
   std::vector<std::int64_t> queue_occupancy() const;
 
   // --- Checkpoint support (sim/checkpoint.h) ---
@@ -290,18 +290,6 @@ class Network {
     for (const Link& l : host_up_) fn(l);
     for (const Link& l : host_down_) fn(l);
   }
-
-  // Per-directed-link utilization over [0, elapsed]: bytes transmitted /
-  // (rate x elapsed). Index 2l = a->b of topology link l, 2l+1 = b->a.
-  // Useful for spotting hash imbalance and transit hot spots.
-  std::vector<double> link_utilization(Time elapsed) const;
-  // Summary of the above (max = the hottest directed link).
-  struct UtilizationStats {
-    double mean = 0;
-    double max = 0;
-    double p99 = 0;
-  };
-  UtilizationStats utilization_stats(Time elapsed) const;
 
  private:
   class SwitchDev;

@@ -9,15 +9,6 @@ bool Simulator::run_until(Time deadline) {
   return !heap_.empty();
 }
 
-void Simulator::run_until_key(Time t_bound, std::uint64_t prio_bound) {
-  while (!heap_.empty() &&
-         (heap_[0].t < t_bound ||
-          (heap_[0].t == t_bound && heap_[0].prio < prio_bound))) {
-    dispatch_top();
-  }
-  cur_key_ = &root_key_;
-}
-
 bool Simulator::run_until_bounded(Time deadline, int budget) {
   while (budget > 0 && !heap_.empty() && heap_[0].t <= deadline) {
     dispatch_top();

@@ -54,12 +54,6 @@ HashChain& HashChain::mix(std::uint64_t v) noexcept {
   return *this;
 }
 
-HashChain& HashChain::mix(const std::string& s) noexcept {
-  mix(s.size());
-  for (char c : s) h_ = splitmix64(h_ ^ static_cast<unsigned char>(c));
-  return *this;
-}
-
 SnapshotWriter::SnapshotWriter(std::uint64_t config_hash) {
   buf_.append(kSnapshotMagic, sizeof kSnapshotMagic);
   put_u32(&buf_, kSnapshotVersion);
@@ -104,12 +98,6 @@ void SnapshotWriter::f64(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof bits);
   u64(bits);
-}
-
-void SnapshotWriter::str(const std::string& s) {
-  u64(s.size());
-  SPINELESS_CHECK(in_section_);
-  buf_ += s;
 }
 
 void SnapshotWriter::rng_state(const std::array<std::uint64_t, 4>& s) {
@@ -209,14 +197,6 @@ double SnapshotReader::f64() {
   double v;
   std::memcpy(&v, &bits, sizeof v);
   return v;
-}
-
-std::string SnapshotReader::str() {
-  const std::uint64_t n = u64();
-  need(n);
-  std::string s = bytes_.substr(pos_, n);
-  pos_ += n;
-  return s;
 }
 
 std::array<std::uint64_t, 4> SnapshotReader::rng_state() {

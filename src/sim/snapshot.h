@@ -32,7 +32,6 @@ inline constexpr std::uint32_t kSnapshotVersion = 1;
 class HashChain {
  public:
   HashChain& mix(std::uint64_t v) noexcept;
-  HashChain& mix(const std::string& s) noexcept;
   std::uint64_t value() const noexcept { return h_; }
 
  private:
@@ -51,7 +50,6 @@ class SnapshotWriter {
   void u64(std::uint64_t v);
   void i64(std::int64_t v);
   void f64(double v);
-  void str(const std::string& s);
   void rng_state(const std::array<std::uint64_t, 4>& s);
 
   // Seals the buffer (appends the checksum) and writes it atomically.
@@ -87,7 +85,6 @@ class SnapshotReader {
   std::uint64_t u64();
   std::int64_t i64();
   double f64();
-  std::string str();
   std::array<std::uint64_t, 4> rng_state();
 
   bool at_end() const noexcept;  // all sections consumed

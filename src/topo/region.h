@@ -44,7 +44,7 @@ RegionCut region_from_supernodes(const Graph& g,
 
 // Auto selection from a prior fluid pass: score each switch by the maximum
 // utilization over its incident directed links (index 2l = a->b, 2l+1 =
-// b->a, the Network::link_utilization layout), then grow a *connected* hot
+// b->a, the Network::queue_occupancy layout), then grow a *connected* hot
 // set of `k` switches greedily from the hottest one, always absorbing the
 // hottest frontier switch (ties broken by ascending id). Connectivity is
 // required — the region subgraph builds its own routing tables.

@@ -465,12 +465,6 @@ const std::vector<JsonValue>& JsonValue::as_array() const {
   return items_;
 }
 
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::as_object()
-    const {
-  if (kind_ != Kind::kObject) kind_error("an object");
-  return members_;
-}
-
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (kind_ != Kind::kObject) return nullptr;
   for (const auto& [k, v] : members_)

@@ -92,7 +92,6 @@ class JsonValue {
   std::uint64_t as_uint() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
-  const std::vector<std::pair<std::string, JsonValue>>& as_object() const;
 
   // Object member lookup (first match, linear — objects here are small).
   // Returns nullptr when absent or when this value is not an object.

@@ -52,28 +52,7 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha) {
     prob_[i] = 1.0 / std::pow(static_cast<double>(i + 1), alpha);
     sum += prob_[i];
   }
-  cdf_.resize(n);
-  double acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    prob_[i] /= sum;
-    acc += prob_[i];
-    cdf_[i] = acc;
-  }
-  cdf_.back() = 1.0;  // guard against FP drift
-}
-
-std::size_t ZipfSampler::operator()(Rng& rng) const noexcept {
-  const double u = rng.uniform_real();
-  // Binary search for the first cdf_ entry >= u.
-  std::size_t lo = 0, hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = (lo + hi) / 2;
-    if (cdf_[mid] < u)
-      lo = mid + 1;
-    else
-      hi = mid;
-  }
-  return lo;
+  for (double& p : prob_) p /= sum;
 }
 
 }  // namespace spineless

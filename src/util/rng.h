@@ -116,14 +116,12 @@ class Rng {
   std::uint64_t state_[4]{};
 };
 
-// Zipf-distributed sampler over ranks {0,..,n-1} with exponent alpha,
-// implemented by inverse-CDF over the precomputed normalized weights.
-// Used by the FB-like skewed traffic generator.
+// Zipf distribution over ranks {0,..,n-1} with exponent alpha, as
+// precomputed normalized weights. Used by the FB-like skewed traffic
+// generator.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double alpha);
-
-  std::size_t operator()(Rng& rng) const noexcept;
 
   // Normalized probability of rank i.
   double probability(std::size_t i) const { return prob_.at(i); }
@@ -131,7 +129,6 @@ class ZipfSampler {
 
  private:
   std::vector<double> prob_;  // probability per rank
-  std::vector<double> cdf_;   // inclusive prefix sums
 };
 
 }  // namespace spineless

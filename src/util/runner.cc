@@ -51,8 +51,6 @@ int default_jobs() {
   return usable_cores();
 }
 
-bool in_parallel_region() { return tl_parallel_depth > 0; }
-
 ParallelRegion::ParallelRegion() { ++tl_parallel_depth; }
 ParallelRegion::~ParallelRegion() { --tl_parallel_depth; }
 

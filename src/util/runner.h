@@ -52,10 +52,6 @@ int usable_cores();
 // usable_cores().
 int default_jobs();
 
-// True while the calling thread is inside a parallel region (a Runner
-// worker or a sharded-engine shard thread).
-bool in_parallel_region();
-
 // RAII marker used by the pools themselves; user code never needs it.
 class ParallelRegion {
  public:

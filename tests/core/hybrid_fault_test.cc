@@ -27,6 +27,7 @@
 #include "topo/builders.h"
 #include "topo/region.h"
 #include "util/fsio.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "workload/flows.h"
@@ -133,6 +134,40 @@ TEST(HybridFault, UnifiedReportSpansBothHalves) {
   const JsonValue* blackhole = report.find("packet")->find("blackhole_seconds");
   ASSERT_NE(blackhole, nullptr);
   EXPECT_GE(blackhole->as_number(), 0.0);
+}
+
+// The unified report of a cell whose region (supernodes {3, 4}) renumbers
+// its links, with a packet-half outage and gray window on remapped ids,
+// pinned by a digest recorded when the hybrid still wrote the packet block
+// with its own copy of the injector's JSON writer.
+TEST(HybridFault, UnifiedReportMatchesRecordedDigest) {
+  const topo::DRing d = topo::make_dring(6, 2, 2);
+  const topo::RegionCut cut =
+      topo::region_from_supernodes(d.graph, d.supernode_of, {3, 4});
+  std::vector<topo::LinkId> internal;
+  topo::LinkId external = topo::kInvalidLink;
+  for (topo::LinkId l = 0; l < d.graph.num_links(); ++l) {
+    const bool a_hot = cut.contains(d.graph.link(l).a);
+    const bool b_hot = cut.contains(d.graph.link(l).b);
+    if (a_hot && b_hot) internal.push_back(l);
+    if (!a_hot && !b_hot && external == topo::kInvalidLink) external = l;
+  }
+  const std::string spec =
+      "flap link=" + std::to_string(internal.front()) +
+      " down=1ms up=3ms; gray link=" + std::to_string(internal.back()) +
+      " drop=0.02 from=500us until=2500us; fail link=" +
+      std::to_string(cut.cut[0].link) + " at=1500us; fail link=" +
+      std::to_string(external) + " at=2ms";
+  ASSERT_EQ(spec,
+            "flap link=36 down=1ms up=3ms; gray link=39 drop=0.02 from=500us "
+            "until=2500us; fail link=8 at=1500us; fail link=0 at=2ms");
+  HybridConfig cfg = fault_cfg(1, spec);
+  cfg.region_supernodes = {3, 4};
+  const auto r = run_hybrid_experiment(
+      d.graph, workload::RackTm::uniform(d.graph), cfg, &d.supernode_of);
+  EXPECT_EQ(r.fault_report.size(), 683u);
+  EXPECT_EQ(util::fnv1a(r.fault_report), 13679163855662213995ULL)
+      << r.fault_report;
 }
 
 TEST(HybridFault, ReportAndHashByteIdenticalAcrossIntraJobs) {

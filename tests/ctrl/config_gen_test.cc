@@ -115,14 +115,6 @@ TEST(ConfigGen, PeerAddressesPairUpAcrossRouters) {
   }
 }
 
-TEST(ConfigGen, FullDeploymentCoversEveryRouter) {
-  const auto d = topo::make_dring(5, 2, 1);
-  const auto all = full_deployment_config(d.graph, ConfigGenOptions{});
-  for (topo::NodeId r = 0; r < d.graph.num_switches(); ++r)
-    EXPECT_NE(all.find("hostname r" + std::to_string(r) + "\n"),
-              std::string::npos);
-}
-
 TEST(ConfigGen, K1NeedsNoRouteMaps) {
   const auto g = topo::make_leaf_spine(3, 1);
   ConfigGenOptions opts;

@@ -1,7 +1,7 @@
 // A FaultPlan run — BFD detections, gray-link RNG draws, incremental table
 // repairs, degradation samples — must replay byte-identically under any
-// intra_jobs split. The reports are JSON strings with no wall-clock
-// content, so the comparison is literal string equality.
+// intra_jobs split. The injector report and the degradation samples hold
+// no wall-clock content, so the comparison is exact on every field.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -41,8 +41,8 @@ struct RunPrint {
   std::int64_t corrupt_drops = 0;
   std::int64_t delivered_bytes = 0;
   std::vector<FlowPrint> flows;
-  std::string injector_json;
-  std::string monitor_json;
+  FaultInjector::Report injector;
+  std::vector<DegradationMonitor::Sample> samples;
   bool operator==(const RunPrint&) const = default;
 };
 
@@ -98,8 +98,8 @@ RunPrint run_fault_scenario(int intra, int reactor_threads = 0) {
     out.flows.push_back(
         FlowPrint{rec.start, rec.finish, rec.retransmits, rec.timeouts});
   }
-  out.injector_json = inj.report_json(kDeadline);
-  out.monitor_json = mon.to_json();
+  out.injector = inj.report(kDeadline);
+  out.samples = mon.samples();
   return out;
 }
 
@@ -108,13 +108,13 @@ TEST(FaultDeterminism, PlanReplaysByteIdenticallyAcrossIntraJobs) {
   // The scenario must actually exercise the fault machinery, or the
   // determinism claim is vacuous.
   ASSERT_GT(serial.gray_drops + serial.corrupt_drops, 0);
-  ASSERT_NE(serial.injector_json.find("\"t_routed_in\""), std::string::npos);
+  ASSERT_FALSE(serial.injector.outages.empty());
 
   for (const int intra : {2, 4, 7}) {
     SCOPED_TRACE("intra_jobs=" + std::to_string(intra));
     const RunPrint sharded = run_fault_scenario(intra);
-    EXPECT_EQ(serial.injector_json, sharded.injector_json);
-    EXPECT_EQ(serial.monitor_json, sharded.monitor_json);
+    EXPECT_EQ(serial.injector, sharded.injector);
+    EXPECT_EQ(serial.samples, sharded.samples);
     EXPECT_EQ(serial.events, sharded.events);
     ASSERT_EQ(serial.flows.size(), sharded.flows.size());
     for (std::size_t i = 0; i < serial.flows.size(); ++i) {

@@ -33,6 +33,11 @@ TEST(ParseTime, RejectsMalformed) {
   EXPECT_THROW(parse_time("2m"), Error);      // unknown suffix
   EXPECT_THROW(parse_time("-1ms"), Error);    // negative
   EXPECT_THROW(parse_time("fast"), Error);    // not a number
+  EXPECT_THROW(parse_time("1e999ms"), Error);  // stod out of range
+  EXPECT_THROW(parse_time("infms"), Error);    // non-finite
+  EXPECT_THROW(parse_time("nanms"), Error);
+  EXPECT_THROW(parse_time("1e300ms"), Error);  // overflows Time
+  EXPECT_THROW(parse_time("9223373s"), Error);
 }
 
 TEST(FaultPlan, FlapExpandsToDownAndUp) {
@@ -132,6 +137,16 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
                Error);
   EXPECT_THROW(FaultPlan::parse("degrade link=0 rate=2 from=0ms", g, 0),
                Error);
+  // Numbers that are not finite ints in range: a clean Error, never UB in
+  // the cast or a bare std::invalid_argument from stod.
+  for (const char* spec :
+       {"fail link=1e20 at=1ms", "fail link=nan at=1ms",
+        "fail link=abc at=1ms", "fail link=1e999 at=1ms",
+        "fail link=-1 at=1ms", "fail link=0.5 at=1ms", "fail link=inf at=1ms",
+        "switch node=1e20 down=1ms up=2ms", "switch node=nan down=1ms up=2ms",
+        "fail link=0 at=1e300ms", "fail link=0 at=infms",
+        "gray link=0 drop=nan from=0ms", "degrade link=0 rate=abc from=0ms"})
+    EXPECT_THROW(FaultPlan::parse(spec, g, 0), Error) << spec;
 }
 
 // Duplicate clauses targeting the same link with overlapping windows used

@@ -244,8 +244,8 @@ struct FaultPrint {
   std::uint64_t events = 0;
   std::int64_t queue_drops = 0, gray_drops = 0, corrupt_drops = 0;
   std::int64_t delivered_bytes = 0;
-  std::string injector_json;
-  std::string monitor_json;
+  fault::FaultInjector::Report injector;
+  std::vector<fault::DegradationMonitor::Sample> samples;
   std::vector<std::int64_t> flow_finish;
   bool operator==(const FaultPrint&) const = default;
 };
@@ -300,8 +300,8 @@ FaultPrint run_fault_cell(int intra, int interrupt_at,
   out.gray_drops = stats.gray_drops;
   out.corrupt_drops = stats.corrupt_drops;
   out.delivered_bytes = stats.delivered_bytes;
-  out.injector_json = inj.report_json(kFaultDeadline);
-  out.monitor_json = mon.to_json();
+  out.injector = inj.report(kFaultDeadline);
+  out.samples = mon.samples();
   for (std::size_t i = 0; i < driver.num_flows(); ++i)
     out.flow_finish.push_back(
         driver.flow(static_cast<std::int32_t>(i)).record().finish);

@@ -111,8 +111,8 @@ struct RunPrint {
 
 // A mid-run link failure (blackhole + reconvergence) plus a periodic
 // whole-network monitor: both are kShardGlobal sinks, so this exercises
-// the engine's exact global interleaving (run_until_key), not just the
-// steady-state window protocol.
+// the engine's exact global interleaving (run_until_key_bounded), not just
+// the steady-state window protocol.
 RunPrint run_failure_scenario(int intra, int reactor_threads = 0) {
   const auto d = topo::make_dring(6, 2, 2);
   NetworkConfig cfg;

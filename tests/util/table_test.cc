@@ -33,12 +33,6 @@ TEST(Table, ColumnsAreAligned) {
   EXPECT_EQ(row1.find('1'), row2.find('2'));
 }
 
-TEST(Table, CsvOutput) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
 TEST(Table, RowWidthMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);

@@ -177,5 +177,46 @@ TEST(TmSampler, WeightOnServerlessSwitchRejected) {
   EXPECT_THROW(TmSampler(g, tm), Error);
 }
 
+TEST(PermutationTm, IsADerangementWithServerWeights) {
+  const Graph g = topo::make_dring(6, 2, 4).graph;
+  const RackTm tm = RackTm::permutation(g, 5);
+  int senders = 0;
+  for (topo::NodeId a = 0; a < g.num_switches(); ++a) {
+    int dests = 0;
+    for (topo::NodeId b = 0; b < g.num_switches(); ++b) {
+      if (tm.at(a, b) <= 0) continue;
+      ++dests;
+      EXPECT_NE(a, b);  // derangement: nobody sends to itself
+      EXPECT_DOUBLE_EQ(tm.at(a, b), 4.0);
+    }
+    EXPECT_LE(dests, 1);  // permutation: at most one destination
+    senders += dests;
+  }
+  EXPECT_EQ(senders, 12);  // every rack sends
+}
+
+TEST(PermutationTm, EveryRackAlsoReceivesOnce) {
+  const Graph g = topo::make_dring(6, 2, 4).graph;
+  const RackTm tm = RackTm::permutation(g, 7);
+  for (topo::NodeId b = 0; b < g.num_switches(); ++b) {
+    int sources = 0;
+    for (topo::NodeId a = 0; a < g.num_switches(); ++a)
+      sources += tm.at(a, b) > 0;
+    EXPECT_EQ(sources, 1);
+  }
+}
+
+TEST(PermutationTm, DifferentSeedsDifferentMappings) {
+  const Graph g = topo::make_dring(8, 2, 4).graph;
+  const RackTm a = RackTm::permutation(g, 1);
+  const RackTm b = RackTm::permutation(g, 2);
+  bool differ = false;
+  for (topo::NodeId i = 0; i < g.num_switches() && !differ; ++i)
+    for (topo::NodeId j = 0; j < g.num_switches() && !differ; ++j)
+      differ = (a.at(i, j) > 0) != (b.at(i, j) > 0);
+  EXPECT_TRUE(differ);
+}
+
+
 }  // namespace
 }  // namespace spineless::workload
